@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -35,6 +36,12 @@ struct PipelineOptions {
 /// they run on a different thread.
 struct ShardBatch {
   std::uint64_t trace_id = 0;
+  /// Set on each shard's first batch of a minute: the shard builder
+  /// advances to `minute` and learns every local IP of the whole minute
+  /// (`locals`) before ingesting, so a shard flags monitored nodes exactly
+  /// as one builder over the full stream would.
+  std::optional<MinuteBucket> minute;
+  std::vector<IpAddr> locals;
   std::vector<ConnectionSummary> records;
 };
 
@@ -105,6 +112,7 @@ class ShardedGraphPipeline : public TelemetrySink {
   PipelineOptions options_;
   std::vector<Shard> shards_;
   std::vector<ShardBatch> pending_;  // per shard
+  std::vector<IpAddr> locals_;       // reused per-minute local-IP list
   store::StoreWriter* store_ = nullptr;
   std::atomic<std::uint64_t> records_{0};
   std::atomic<std::uint64_t> batches_{0};

@@ -41,6 +41,9 @@ ShardedGraphPipeline::ShardedGraphPipeline(PipelineOptions options,
   // traffic shares are meaningless locally. Collapse runs after the merge.
   GraphBuildConfig shard_config = options_.graph;
   shard_config.collapse_threshold = 0.0;
+  // Late-monitored IPs are judged on whole windows; a shard only has part
+  // of each, and every shard would count the same IP again.
+  shard_config.count_late_monitored = false;
 
   shards_.resize(options.shards);
   pending_.resize(options.shards);
@@ -62,6 +65,10 @@ ShardedGraphPipeline::ShardedGraphPipeline(PipelineOptions options,
         // span parents under the window that enqueued the records.
         obs::TraceScope trace({batch->trace_id, 0});
         obs::ScopedSpan span(*batch_build, "ccg.pipeline.batch_build");
+        if (batch->minute) {
+          builder->advance_to(*batch->minute);
+          for (const IpAddr ip : batch->locals) builder->learn_local(ip);
+        }
         for (const auto& record : batch->records) builder->ingest(record);
         shard_records->add(batch->records.size());
       }
@@ -102,6 +109,17 @@ void ShardedGraphPipeline::on_batch(MinuteBucket time,
   m_batches_->add();
   const std::uint64_t trace_id =
       window_trace_for(time.index(), options_.graph.window_minutes);
+  locals_.clear();
+  for (const auto& record : batch) {
+    if (locals_.empty() || locals_.back() != record.flow.local_ip) {
+      locals_.push_back(record.flow.local_ip);
+    }
+  }
+  for (ShardBatch& pending : pending_) {
+    pending.trace_id = trace_id;
+    pending.minute = time;
+    pending.locals = locals_;
+  }
   for (const auto& record : batch) {
     ConnectionSummary stamped = record;
     stamped.time = time;
@@ -112,9 +130,10 @@ void ShardedGraphPipeline::on_batch(MinuteBucket time,
   }
   records_.fetch_add(batch.size(), std::memory_order_relaxed);
   m_records_->add(batch.size());
-  // Flush small leftovers each minute so shard windows close promptly.
+  // Flush small leftovers each minute so shard windows close promptly; a
+  // shard that got no records still needs the minute's monitored IPs.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!pending_[s].records.empty()) push_pending(s);
+    if (!pending_[s].records.empty() || pending_[s].minute) push_pending(s);
   }
 }
 

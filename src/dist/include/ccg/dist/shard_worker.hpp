@@ -38,8 +38,9 @@ class ShardWorker : public TelemetrySink {
   /// record) when the aggregator refuses or the transport fails.
   bool handshake();
 
-  /// TelemetrySink hook: ingests this shard's records, ships any windows
-  /// the minute advance closed. Transport errors surface in finish().
+  /// TelemetrySink hook: learns monitored IPs from every record, ingests
+  /// this shard's records, ships any windows the minute closed. Transport
+  /// errors surface in finish().
   void on_batch(MinuteBucket time,
                 const std::vector<ConnectionSummary>& batch) override;
 

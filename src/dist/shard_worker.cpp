@@ -67,8 +67,14 @@ bool ShardWorker::handshake() {
 
 void ShardWorker::on_batch(MinuteBucket time,
                            const std::vector<ConnectionSummary>& batch) {
+  // Learn the monitored set from the whole minute before the partition
+  // filter: an IP another shard sees as local may appear here only as a
+  // remote, and the merged window must flag it exactly as `anomaly` does.
+  // Earlier windows close first, so this minute's IPs never leak into them.
+  builder_.advance_to(time);
   scratch_.clear();
   for (const ConnectionSummary& record : batch) {
+    builder_.learn_local(record.flow.local_ip);
     if (shard_of_record(record, options_.graph.facet, options_.shard_count) ==
         options_.shard_id) {
       scratch_.push_back(record);

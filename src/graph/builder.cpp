@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "ccg/common/expect.hpp"
 #include "ccg/common/flow.hpp"
+#include "ccg/obs/log.hpp"
 
 namespace ccg {
 
@@ -18,6 +20,7 @@ GraphBuilder::GraphBuilder(GraphBuildConfig config,
   m_records_ = &registry.counter("ccg.graph.records");
   m_windows_ = &registry.counter("ccg.graph.windows");
   m_collapsed_ = &registry.counter("ccg.graph.collapsed_nodes");
+  m_late_monitored_ = &registry.counter("ccg.graph.late_monitored");
   m_finalize_ = &obs::span_histogram("ccg.graph.finalize");
 }
 
@@ -40,26 +43,49 @@ NodeKey GraphBuilder::node_key(const ConnectionSummary& r, bool local_side,
 
 void GraphBuilder::on_batch(MinuteBucket time,
                             const std::vector<ConnectionSummary>& batch) {
+  advance_to(time);
   for (const auto& record : batch) {
     ConnectionSummary stamped = record;
     stamped.time = time;
     ingest(stamped);
   }
+  if (time.next() == current_window_->end()) close_window();
+}
+
+void GraphBuilder::advance_to(MinuteBucket time) {
+  if (floor_ && time < *floor_) {
+    throw ContractViolation(
+        "graph builder: record for minute " + std::to_string(time.index()) +
+        " precedes minute " + std::to_string(floor_->index()) +
+        ", whose earlier windows are closed (the stream must be ordered)");
+  }
+  if (current_window_ && time < current_window_->end()) return;
+  close_window();
+  // Windows are aligned to multiples of window_minutes so "hour 3" means
+  // the same thing across builders.
+  const std::int64_t w = config_.window_minutes;
+  const std::int64_t idx = time.index() >= 0 ? time.index() / w
+                                             : (time.index() - (w - 1)) / w;
+  current_window_ = TimeWindow::minutes(idx * w, w);
+  floor_ = current_window_->begin();
+}
+
+void GraphBuilder::learn_local(IpAddr ip) {
+  if (last_learned_ == ip) return;
+  last_learned_ = ip;
+  if (!monitored_.insert(ip).second || seen_unmonitored_.erase(ip) == 0) return;
+  m_late_monitored_->add(1);
+  obs::log_warn("graph: IP turned local after an unmonitored appearance in a "
+                "finalized window",
+                {obs::field("ip", ip.to_string()),
+                 obs::field("window_begin",
+                            current_window_ ? current_window_->begin().index()
+                                            : std::int64_t{0})});
 }
 
 void GraphBuilder::ingest(const ConnectionSummary& record) {
-  // Roll the window forward if this record is beyond it. Windows are
-  // aligned to multiples of window_minutes so "hour 3" means the same
-  // thing across builders.
-  if (!current_window_ || record.time >= current_window_->end()) {
-    if (current_window_ && !acc_.empty()) finalize_window();
-    const std::int64_t w = config_.window_minutes;
-    const std::int64_t idx = record.time.index() >= 0
-                                 ? record.time.index() / w
-                                 : (record.time.index() - (w - 1)) / w;
-    current_window_ = TimeWindow::minutes(idx * w, w);
-  }
-  CCG_EXPECT(record.time >= current_window_->begin());  // stream must be ordered
+  advance_to(record.time);
+  learn_local(record.flow.local_ip);
 
   ++records_;
   m_records_->add(1);
@@ -104,8 +130,13 @@ void GraphBuilder::ingest(const ConnectionSummary& record) {
   }
 }
 
-void GraphBuilder::flush() {
-  if (current_window_ && !acc_.empty()) finalize_window();
+void GraphBuilder::flush() { close_window(); }
+
+void GraphBuilder::close_window() {
+  if (!current_window_) return;
+  if (!acc_.empty()) finalize_window();
+  floor_ = current_window_->end();
+  current_window_.reset();
 }
 
 std::vector<CommGraph> GraphBuilder::take_graphs() {
@@ -164,11 +195,18 @@ void GraphBuilder::finalize_window() {
   //    merge and the distributed aggregator use — so every producer of
   //    this window's graph agrees byte-for-byte.
   CommGraph raw(*current_window_);
+  const auto add_node = [&](const NodeKey& key) {
+    const NodeId id = raw.add_node(key);
+    if (is_monitored(key)) {
+      raw.set_monitored(id, true);
+    } else if (config_.count_late_monitored) {
+      seen_unmonitored_.insert(key.ip);
+    }
+    return id;
+  };
   for (const auto& [pk, e] : merged) {
-    const NodeId a = raw.add_node(pk.first);
-    raw.set_monitored(a, is_monitored(pk.first));
-    const NodeId b = raw.add_node(pk.second);
-    raw.set_monitored(b, is_monitored(pk.second));
+    const NodeId a = add_node(pk.first);
+    const NodeId b = add_node(pk.second);
     raw.add_edge_volume(a, b, e.bytes_ab, e.bytes_ba, e.packets_ab,
                         e.packets_ba, e.conn_minutes, e.active_minutes,
                         e.client_minutes_ab, e.client_minutes_ba,

@@ -48,19 +48,48 @@ struct GraphBuildConfig {
   /// Monitored nodes (the subscription's own resources) are exempt from
   /// collapsing by default; only remote peers get folded into <other>.
   bool collapse_monitored = false;
+
+  /// Track IPs that turn local after an unmonitored appearance in a
+  /// finalized window (`ccg.graph.late_monitored`). Off for the shard
+  /// builders of an in-process pipeline, which see only part of each
+  /// window and share the process's counter with the builder that sees
+  /// all of it.
+  bool count_late_monitored = true;
 };
 
 /// Accumulates a stream of summaries into a series of per-window graphs.
 /// Batches must arrive in non-decreasing minute order (the TelemetryHub
-/// guarantees this).
+/// and the flow-log reader guarantee this).
+///
+/// The monitored set is online: it starts as the set given to the
+/// constructor and grows by every ingested record's local IP, so an IP is
+/// monitored from the first window in which it is local. An IP that turns
+/// local after it appeared unmonitored in an already-finalized window
+/// cannot be fixed retroactively; it is counted in
+/// `ccg.graph.late_monitored` and logged at warn. To catch those, the
+/// builder remembers every IP that was an unmonitored node of a finalized
+/// window, so its memory grows with the number of distinct unmonitored
+/// IPs the stream has shown (unless `count_late_monitored` is off).
 class GraphBuilder : public TelemetrySink {
  public:
   GraphBuilder(GraphBuildConfig config, std::unordered_set<IpAddr> monitored);
 
-  /// TelemetrySink hook: ingest one minute's batch.
+  /// TelemetrySink hook: ingest one minute's batch. A sink receives each
+  /// minute complete and in order, so the batch for a window's last minute
+  /// closes that window: its graph is ready before any later minute
+  /// arrives.
   void on_batch(MinuteBucket time, const std::vector<ConnectionSummary>& batch) override;
 
   void ingest(const ConnectionSummary& record);
+
+  /// Closes the open window if `time` lies beyond it and opens the window
+  /// containing `time`. Throws ContractViolation when `time` precedes the
+  /// open window or falls inside an already-closed one: a closed window is
+  /// never reopened or emitted twice.
+  void advance_to(MinuteBucket time);
+
+  /// Adds `ip` to the monitored set (see the class comment).
+  void learn_local(IpAddr ip);
 
   /// Closes the current window (if it has data) and appends its graph.
   void flush();
@@ -120,12 +149,20 @@ class GraphBuilder : public TelemetrySink {
   NodeKey node_key(const ConnectionSummary& r, bool local_side,
                    bool local_is_client) const;
   bool is_monitored(const NodeKey& k) const { return monitored_.contains(k.ip); }
+  void close_window();
   void finalize_window();
 
   GraphBuildConfig config_;
   std::unordered_set<IpAddr> monitored_;
+  std::optional<IpAddr> last_learned_;  // skips the lookup for runs of one IP
+  /// IPs that were unmonitored nodes of a finalized window; one turning
+  /// local later is a late-monitored IP. It shrinks only by those.
+  std::unordered_set<IpAddr> seen_unmonitored_;
   std::unordered_map<DirKey, DirAccum, DirKeyHash> acc_;
   std::optional<TimeWindow> current_window_;
+  /// No record may precede this minute: the begin of the open window, or
+  /// the end of the last closed one.
+  std::optional<MinuteBucket> floor_;
   std::vector<CommGraph> graphs_;
   std::uint64_t records_ = 0;
 
@@ -133,6 +170,7 @@ class GraphBuilder : public TelemetrySink {
   obs::Counter* m_records_ = nullptr;
   obs::Counter* m_windows_ = nullptr;
   obs::Counter* m_collapsed_ = nullptr;
+  obs::Counter* m_late_monitored_ = nullptr;
   obs::Histogram* m_finalize_ = nullptr;
 };
 

@@ -229,7 +229,10 @@ class StoreSink : public TelemetrySink {
   /// Closes and persists the in-progress window.
   void flush();
 
+  /// Windows the writer accepted / windows the builder closed (a rejected
+  /// append is logged by the writer).
   std::size_t windows_stored() const { return windows_stored_; }
+  std::size_t windows_built() const { return windows_built_; }
 
  private:
   void drain();
@@ -237,6 +240,7 @@ class StoreSink : public TelemetrySink {
   GraphBuilder builder_;
   StoreWriter* writer_;
   std::size_t windows_stored_ = 0;
+  std::size_t windows_built_ = 0;
 };
 
 }  // namespace ccg::store

@@ -574,6 +574,7 @@ void StoreSink::flush() {
 
 void StoreSink::drain() {
   for (const CommGraph& graph : builder_.take_graphs()) {
+    ++windows_built_;
     if (writer_->append(graph)) ++windows_stored_;
   }
 }

@@ -1,8 +1,7 @@
 #include "ccg/telemetry/serialize.hpp"
 
 #include <charconv>
-
-#include "ccg/common/csv.hpp"
+#include <string>
 
 namespace ccg {
 
@@ -13,6 +12,69 @@ std::optional<std::uint64_t> parse_u64(std::string_view s) {
   auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
   return v;
+}
+
+constexpr std::size_t kCsvFields = 11;
+
+/// Splits one row into exactly kCsvFields fields with the semantics of
+/// parse_csv_line (RFC 4180: a quote toggles quoting anywhere in a field,
+/// "" inside quotes is a literal quote, \r outside quotes is dropped).
+/// A row without '"' and without '\r' (a trailing one aside) — every row
+/// an exporter writes — splits into views of `line` itself; any other row is
+/// unescaped into a reused per-thread buffer, so `fields` view into it
+/// until the next call on this thread. False when the row does not have 11
+/// fields.
+bool split_row(std::string_view line, std::string_view (&fields)[kCsvFields]) {
+  std::string_view text = line;
+  if (!text.empty() && text.back() == '\r') text.remove_suffix(1);
+  // Two memchr scans; find_first_of would test the set per character.
+  if (text.find('"') == std::string_view::npos &&
+      text.find('\r') == std::string_view::npos) {
+    std::size_t n = 0;
+    for (;;) {
+      const std::size_t comma = text.find(',');
+      if (comma == std::string_view::npos) break;
+      if (n + 1 == kCsvFields) return false;  // a twelfth field
+      fields[n++] = text.substr(0, comma);
+      text.remove_prefix(comma + 1);
+    }
+    fields[n++] = text;
+    return n == kCsvFields;
+  }
+
+  thread_local std::string unescaped;
+  unescaped.clear();
+  std::size_t ends[kCsvFields];
+  std::size_t n = 0;
+  bool in_quotes = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (in_quotes) {
+      if (c != '"') {
+        unescaped.push_back(c);
+      } else if (i + 1 < line.size() && line[i + 1] == '"') {
+        unescaped.push_back('"');  // escaped quote
+        ++i;
+      } else {
+        in_quotes = false;
+      }
+    } else if (c == '"') {
+      in_quotes = true;
+    } else if (c == ',') {
+      if (n + 1 == kCsvFields) return false;  // a twelfth field
+      ends[n++] = unescaped.size();
+    } else if (c != '\r') {
+      unescaped.push_back(c);
+    }
+  }
+  ends[n++] = unescaped.size();
+  if (n != kCsvFields) return false;
+  std::size_t begin = 0;
+  for (std::size_t f = 0; f < kCsvFields; ++f) {
+    fields[f] = std::string_view(unescaped).substr(begin, ends[f] - begin);
+    begin = ends[f];
+  }
+  return true;
 }
 
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
@@ -72,8 +134,8 @@ std::string to_csv(const ConnectionSummary& rec) {
 }
 
 std::optional<ConnectionSummary> from_csv(std::string_view line) {
-  auto fields = parse_csv_line(line);
-  if (fields.size() != 11) return std::nullopt;
+  std::string_view fields[kCsvFields];
+  if (!split_row(line, fields)) return std::nullopt;
 
   // time may be negative (pre-epoch windows in tests)
   std::int64_t t = 0;

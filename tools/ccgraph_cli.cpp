@@ -7,14 +7,19 @@
 //   ccgraph report   --in flows.csv
 //
 // Flow logs are the CSV schema of `ccg::csv_header()` (paper Table 2 plus
-// the initiator bit). An IP is treated as *monitored* iff it ever appears
-// as a record's local endpoint — exactly the set of NICs that produced the
-// log.
+// the initiator bit), streamed minute by minute through the flow-log
+// reader, so a FIFO works as well as a file. An IP is treated as
+// *monitored* from the first record in which it is the local endpoint —
+// the NICs that produced the log.
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +30,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -61,6 +67,7 @@
 #include "ccg/store/store.hpp"
 #include "ccg/summarize/patterns.hpp"
 #include "ccg/summarize/temporal.hpp"
+#include "ccg/telemetry/flow_log.hpp"
 #include "ccg/telemetry/serialize.hpp"
 #include "ccg/workload/driver.hpp"
 #include "ccg/workload/presets.hpp"
@@ -69,7 +76,14 @@ namespace {
 
 using namespace ccg;
 
-/// Trivial --key value / --flag parser.
+/// A malformed or out-of-range flag value: main() prints it and exits 2.
+class FlagError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Trivial --key value / --flag parser. Numeric getters parse the whole
+/// token and throw FlagError naming the flag otherwise.
 class Args {
  public:
   Args(int argc, char** argv) {
@@ -93,15 +107,41 @@ class Args {
     return get(key).value_or(fallback);
   }
   double get_double(const std::string& key, double fallback) const {
-    auto v = get(key);
-    return v ? std::stod(*v) : fallback;
+    const auto v = get(key);
+    if (!v) return fallback;
+    double out = 0.0;
+    if (!parse_whole(*v, out) || !std::isfinite(out)) {
+      throw FlagError("--" + key + " expects a number, got '" + *v + "'");
+    }
+    return out;
   }
   long get_long(const std::string& key, long fallback) const {
-    auto v = get(key);
-    return v ? std::stol(*v) : fallback;
+    const auto v = get(key);
+    if (!v) return fallback;
+    long out = 0;
+    if (!parse_whole(*v, out)) {
+      throw FlagError("--" + key + " expects an integer, got '" + *v + "'");
+    }
+    return out;
+  }
+  /// Count flags (--window, --train, --rank, --shards, --hours): a given
+  /// value must be at least 1.
+  long get_count(const std::string& key, long fallback) const {
+    const long v = get_long(key, fallback);
+    if (get(key) && v < 1) {
+      throw FlagError("--" + key + " must be at least 1, got '" + *get(key) + "'");
+    }
+    return v;
   }
 
  private:
+  template <typename T>
+  static bool parse_whole(const std::string& text, T& out) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return !text.empty() && ec == std::errc{} && ptr == end;
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -212,28 +252,52 @@ std::optional<ClusterSpec> preset_by_name(const std::string& name, double scale)
   return std::nullopt;
 }
 
-std::optional<std::vector<ConnectionSummary>> load_csv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+/// Streams the flow log at `path` (a file or a FIFO) into `sink`, minute
+/// by minute. Prints the diagnostics every command shares — unreadable
+/// input, malformed rows skipped, a log without records — and returns
+/// nullopt when the command should exit 1.
+std::optional<IngestStats> ingest_flow_log(const std::string& path,
+                                           TelemetrySink& sink) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     std::fprintf(stderr, "ccgraph: cannot open %s\n", path.c_str());
     return std::nullopt;
   }
-  std::size_t dropped = 0;
-  auto records = read_csv(in, &dropped);
-  if (dropped > 0) {
-    std::fprintf(stderr, "ccgraph: warning: %zu malformed rows skipped\n", dropped);
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  const auto stats = stream_flow_log(fd, sink);
+  if (!stats) {
+    std::fprintf(stderr, "ccgraph: cannot read %s\n", path.c_str());
+    return std::nullopt;
   }
-  if (records.empty()) {
+  if (stats->malformed_rows > 0) {
+    std::fprintf(stderr, "ccgraph: warning: %llu malformed rows skipped\n",
+                 static_cast<unsigned long long>(stats->malformed_rows));
+    obs::log_info("ingest: malformed rows skipped",
+                  {obs::field("path", path),
+                   obs::field("malformed_rows", stats->malformed_rows),
+                   obs::field("first_line", stats->first_malformed_line)});
+  }
+  if (stats->rows == 0) {
     std::fprintf(stderr, "ccgraph: %s contains no records\n", path.c_str());
     return std::nullopt;
   }
-  return records;
+  return stats;
 }
 
-std::unordered_set<IpAddr> monitored_from(const std::vector<ConnectionSummary>& records) {
-  std::unordered_set<IpAddr> out;
-  for (const auto& r : records) out.insert(r.flow.local_ip);
-  return out;
+/// Reads a whole flow log into memory, for the batch commands (graph,
+/// diff, segment, policy, report) that need every record at once.
+std::optional<std::vector<ConnectionSummary>> collect_records(const std::string& path) {
+  struct Collector : TelemetrySink {
+    std::vector<ConnectionSummary> records;
+    void on_batch(MinuteBucket, const std::vector<ConnectionSummary>& batch) override {
+      records.insert(records.end(), batch.begin(), batch.end());
+    }
+  } collector;
+  if (!ingest_flow_log(path, collector)) return std::nullopt;
+  return std::move(collector.records);
 }
 
 std::vector<CommGraph> build_graphs(const std::vector<ConnectionSummary>& records,
@@ -242,28 +306,54 @@ std::vector<CommGraph> build_graphs(const std::vector<ConnectionSummary>& record
   GraphBuilder builder({.facet = facet,
                         .window_minutes = window_minutes,
                         .collapse_threshold = collapse},
-                       monitored_from(records));
+                       {});
   for (const auto& r : records) builder.ingest(r);
   builder.flush();
   return builder.take_graphs();
 }
 
-/// Replays a (minute-sorted) flow log into a sink as per-minute batches —
-/// the shape the TelemetryHub would deliver live.
-void replay_minutes(const std::vector<ConnectionSummary>& records,
-                    TelemetrySink& sink) {
-  std::vector<ConnectionSummary> minute_batch;
-  MinuteBucket current = records.front().time;
-  for (const auto& rec : records) {
-    if (rec.time != current) {
-      sink.on_batch(current, minute_batch);
-      minute_batch.clear();
-      current = rec.time;
+/// Prints window reports the way `anomaly` does — the summary line, up to
+/// five localized edges per alert, a copy of the summary in --summary-out
+/// — and flushes stdout after each window, so a consumer reading a pipe
+/// sees every report as its window closes. anomaly, serve/aggregate and
+/// store replay must print byte-identical streams, so all three use it.
+class ReportPrinter {
+ public:
+  /// False (after saying why) when --summary-out cannot be opened.
+  bool open(const Args& args) {
+    if (const auto path = args.get("summary-out")) {
+      summary_out_.open(*path);
+      if (!summary_out_) {
+        std::fprintf(stderr, "ccgraph: cannot write %s\n", path->c_str());
+        return false;
+      }
     }
-    minute_batch.push_back(rec);
+    return true;
   }
-  sink.on_batch(current, minute_batch);
-}
+
+  void print(const WindowReport& report) {
+    std::printf("%s\n", report.summary().c_str());
+    if (summary_out_.is_open()) summary_out_ << report.summary() << '\n';
+    if (report.alert) {
+      ++alerts_;
+      for (std::size_t i = 0;
+           i < std::min<std::size_t>(5, report.anomalous_edges.size()); ++i) {
+        std::printf("  %s\n", report.anomalous_edges[i].to_string().c_str());
+      }
+    }
+    std::fflush(stdout);
+  }
+
+  AnalyticsService::ReportCallback callback() {
+    return [this](const WindowReport& report) { print(report); };
+  }
+
+  std::size_t alerts() const { return alerts_; }
+
+ private:
+  std::ofstream summary_out_;
+  std::size_t alerts_ = 0;
+};
 
 // --- ops endpoint ------------------------------------------------------------
 
@@ -345,7 +435,7 @@ int cmd_simulate(const Args& args) {
     std::fprintf(stderr, "ccgraph: simulate requires --out\n");
     return 2;
   }
-  const long hours = args.get_long("hours", 1);
+  const long hours = args.get_count("hours", 1);
   const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 2023));
 
   Cluster cluster(*spec, seed);
@@ -394,14 +484,13 @@ int cmd_simulate(const Args& args) {
 int cmd_graph(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
-  const auto records = load_csv(*in_path);
-  if (!records) return 1;
-
   const GraphFacet facet =
       args.get_or("facet", "ip") == "ipport" ? GraphFacet::kIpPort : GraphFacet::kIp;
-  const auto graphs = build_graphs(*records, facet,
-                                   args.get_double("collapse", 0.001),
-                                   args.get_long("window", 60));
+  const double collapse = args.get_double("collapse", 0.001);
+  const long window = args.get_count("window", 60);
+  const auto records = collect_records(*in_path);
+  if (!records) return 1;
+  const auto graphs = build_graphs(*records, facet, collapse, window);
   for (const auto& g : graphs) {
     const GraphMetrics m = compute_metrics(g);
     std::printf("window %s: %s\n", g.window().to_string().c_str(),
@@ -439,16 +528,17 @@ int cmd_diff(const Args& args) {
   const auto before_path = args.get("before");
   const auto after_path = args.get("after");
   if (!before_path || !after_path) return usage();
-  const auto before_records = load_csv(*before_path);
-  const auto after_records = load_csv(*after_path);
-  if (!before_records || !after_records) return 1;
+  const double factor = args.get_double("factor", 4.0);
+  const auto before_records = collect_records(*before_path);
+  if (!before_records) return 1;
+  const auto after_records = collect_records(*after_path);
+  if (!after_records) return 1;
 
   // One graph per log, whole-file windows, no collapsing (diffs should see
   // every endpoint).
   const auto before = build_graphs(*before_records, GraphFacet::kIp, 0.0, 1 << 20);
   const auto after = build_graphs(*after_records, GraphFacet::kIp, 0.0, 1 << 20);
-  const GraphDelta delta = diff_graphs(before.back(), after.back(),
-                                       args.get_double("factor", 4.0));
+  const GraphDelta delta = diff_graphs(before.back(), after.back(), factor);
   std::printf("%s\n", delta.summary().c_str());
   std::size_t shown = 0;
   for (const auto& e : delta.edges_added) {
@@ -478,16 +568,16 @@ int cmd_diff(const Args& args) {
 int cmd_segment(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
-  const auto records = load_csv(*in_path);
+  const double collapse = args.get_double("collapse", 0.001);
+  const long window = args.get_count("window", 60);
+  const double resolution = args.get_double("resolution", 2.0);
+  const auto records = collect_records(*in_path);
   if (!records) return 1;
 
-  const auto graphs = build_graphs(*records, GraphFacet::kIp,
-                                   args.get_double("collapse", 0.001),
-                                   args.get_long("window", 60));
+  const auto graphs = build_graphs(*records, GraphFacet::kIp, collapse, window);
   const CommGraph& g = graphs.back();
-  const Segmentation seg = auto_segment(
-      g, SegmentationMethod::kJaccardLouvain,
-      {.louvain_resolution = args.get_double("resolution", 2.0)});
+  const Segmentation seg = auto_segment(g, SegmentationMethod::kJaccardLouvain,
+                                        {.louvain_resolution = resolution});
 
   std::printf("%zu nodes -> %zu microsegments\n", g.node_count(), seg.segment_count);
   for (std::uint32_t s = 0; s < seg.segment_count; ++s) {
@@ -510,9 +600,13 @@ int cmd_policy(const Args& args) {
   const auto baseline_path = args.get("baseline");
   const auto check_path = args.get("check");
   if (!baseline_path || !check_path) return usage();
-  const auto baseline = load_csv(*baseline_path);
-  const auto check = load_csv(*check_path);
-  if (!baseline || !check) return 1;
+  const auto min_support =
+      static_cast<std::size_t>(args.get_long("min-support", 1));
+  const double coverage = args.get_double("coverage", 0.5);
+  const auto baseline = collect_records(*baseline_path);
+  if (!baseline) return 1;
+  const auto check = collect_records(*check_path);
+  if (!check) return 1;
 
   // Segment the baseline graph, mine the default-deny policy from the
   // baseline stream, then check the second stream.
@@ -533,8 +627,6 @@ int cmd_policy(const Args& args) {
     miner.observe(record);
   }
   miner.end_window();
-  const auto min_support =
-      static_cast<std::size_t>(args.get_long("min-support", 1));
   const ReachabilityPolicy policy = miner.build(min_support);
   std::printf("baseline: %zu segments, %zu allow rules from %llu records "
               "(%zu windows, min-support %zu)\n",
@@ -556,7 +648,7 @@ int cmd_policy(const Args& args) {
   checker.check_batch(*check);
   const auto classified = apply_similarity_policy(
       checker.violations(), segments,
-      {.segment_fraction = args.get_double("coverage", 0.5)});
+      {.segment_fraction = coverage});
 
   std::size_t alerts = 0, suppressed = 0;
   for (const auto& cv : classified) {
@@ -579,52 +671,32 @@ int cmd_policy(const Args& args) {
 int cmd_anomaly(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
-  const auto records = load_csv(*in_path);
-  if (!records) return 1;
-
-  std::ofstream summary_out;
-  if (const auto path = args.get("summary-out")) {
-    summary_out.open(*path);
-    if (!summary_out) {
-      std::fprintf(stderr, "ccgraph: cannot write %s\n", path->c_str());
-      return 1;
-    }
-  }
+  ReportPrinter printer;
+  if (!printer.open(args)) return 1;
 
   int ops_rc = 0;
   const auto ops = start_ops_server(args, &ops_rc);
   if (ops_rc != 0) return ops_rc;
 
-  std::size_t alerts = 0;
   AnalyticsService service(
       {.graph = {.facet = GraphFacet::kIp,
-                 .window_minutes = args.get_long("window", 60),
+                 .window_minutes = args.get_count("window", 60),
                  .collapse_threshold = args.get_double("collapse", 0.001)},
-       .training_windows = static_cast<std::size_t>(args.get_long("train", 3)),
-       .spectral = {.rank = static_cast<std::size_t>(args.get_long("rank", 20))},
+       .training_windows = static_cast<std::size_t>(args.get_count("train", 3)),
+       .spectral = {.rank = static_cast<std::size_t>(args.get_count("rank", 20))},
        .incremental = args.get("incremental").has_value(),
        .incremental_verify = args.get("incremental-verify").has_value(),
        .incremental_refine = args.get("incremental-refine").has_value(),
        .stall_injection_ms = static_cast<int>(args.get_long("stall-ms", 0))},
-      monitored_from(*records), [&](const WindowReport& report) {
-        std::printf("%s\n", report.summary().c_str());
-        if (summary_out.is_open()) summary_out << report.summary() << '\n';
-        if (report.alert) {
-          ++alerts;
-          for (std::size_t i = 0;
-               i < std::min<std::size_t>(5, report.anomalous_edges.size()); ++i) {
-            std::printf("  %s\n", report.anomalous_edges[i].to_string().c_str());
-          }
-        }
-      });
+      {}, printer.callback());
   if (ops) ops->set_ready(true);
-  // Records arrive sorted by minute from simulate/collectors; group them.
-  replay_minutes(*records, service);
+  // Each window is reported as soon as its last minute has been read.
+  if (!ingest_flow_log(*in_path, service)) return 1;
   service.flush();
   if (ops) ops->set_ready(false);
   std::printf("%zu windows analyzed, %zu alerts\n", service.windows_reported(),
-              alerts);
-  return alerts > 0 ? 3 : 0;
+              printer.alerts());
+  return printer.alerts() > 0 ? 3 : 0;
 }
 
 // --- distributed commands (docs/DISTRIBUTED.md) ------------------------------
@@ -635,7 +707,7 @@ int cmd_anomaly(const Args& args) {
 GraphBuildConfig dist_graph_config(const Args& args) {
   return {.facet = args.get_or("facet", "ip") == "ipport" ? GraphFacet::kIpPort
                                                           : GraphFacet::kIp,
-          .window_minutes = args.get_long("window", 60),
+          .window_minutes = args.get_count("window", 60),
           .collapse_threshold = args.get_double("collapse", 0.001)};
 }
 
@@ -644,12 +716,14 @@ std::string flight_dir_from(const Args& args) {
   return args.get_or("flight-dir", env != nullptr ? env : "");
 }
 
-/// Aggregator-side recv timeout. Workers connect before parsing their
-/// flow log, so the silence between handshake and the first window frame
-/// includes a full CSV parse — the CLI default is therefore far above the
-/// library's 30 s. --net-timeout-ms and CCG_NET_TIMEOUT_MS override.
+/// Aggregator-side recv timeout. The silence between handshake and a
+/// window frame covers reading and building one whole window (longer on a
+/// paced FIFO), so the CLI default is far above the library's 30 s.
+/// --net-timeout-ms and CCG_NET_TIMEOUT_MS override.
 int aggregator_timeout_ms(const Args& args) {
-  if (const auto v = args.get("net-timeout-ms")) return std::stoi(*v);
+  if (args.get("net-timeout-ms")) {
+    return static_cast<int>(args.get_long("net-timeout-ms", 0));
+  }
   if (std::getenv("CCG_NET_TIMEOUT_MS") != nullptr) return -1;  // env wins
   return 300000;
 }
@@ -661,33 +735,15 @@ int aggregator_timeout_ms(const Args& args) {
 /// to the single-process command on the same log.
 int run_aggregation(const Args& args, std::vector<net::FrameConn> conns) {
   const GraphBuildConfig config = dist_graph_config(args);
+  ReportPrinter printer;
+  if (!printer.open(args)) return 1;
 
-  std::ofstream summary_out;
-  if (const auto path = args.get("summary-out")) {
-    summary_out.open(*path);
-    if (!summary_out) {
-      std::fprintf(stderr, "ccgraph: cannot write %s\n", path->c_str());
-      return 1;
-    }
-  }
-
-  std::size_t alerts = 0;
   AnalyticsService service(
       {.graph = config,
-       .training_windows = static_cast<std::size_t>(args.get_long("train", 3)),
-       .spectral = {.rank = static_cast<std::size_t>(args.get_long("rank", 20))},
+       .training_windows = static_cast<std::size_t>(args.get_count("train", 3)),
+       .spectral = {.rank = static_cast<std::size_t>(args.get_count("rank", 20))},
        .stall_injection_ms = static_cast<int>(args.get_long("stall-ms", 0))},
-      {}, [&](const WindowReport& report) {
-        std::printf("%s\n", report.summary().c_str());
-        if (summary_out.is_open()) summary_out << report.summary() << '\n';
-        if (report.alert) {
-          ++alerts;
-          for (std::size_t i = 0;
-               i < std::min<std::size_t>(5, report.anomalous_edges.size()); ++i) {
-            std::printf("  %s\n", report.anomalous_edges[i].to_string().c_str());
-          }
-        }
-      });
+      {}, printer.callback());
 
   std::optional<store::StoreWriter> writer;
   if (const auto store_dir = args.get("store")) {
@@ -730,8 +786,8 @@ int run_aggregation(const Args& args, std::vector<net::FrameConn> conns) {
                static_cast<unsigned long long>(result->records),
                static_cast<unsigned long long>(result->windows), shard_count);
   std::printf("%zu windows analyzed, %zu alerts\n", service.windows_reported(),
-              alerts);
-  return alerts > 0 ? 3 : 0;
+              printer.alerts());
+  return printer.alerts() > 0 ? 3 : 0;
 }
 
 int cmd_shard_worker(const Args& args) {
@@ -741,14 +797,14 @@ int cmd_shard_worker(const Args& args) {
     return usage();
   }
   const long shard_id = args.get_long("shard", 0);
-  const long shard_count = args.get_long("shards", 0);
+  const long shard_count = args.get_count("shards", 0);
   if (shard_id < 0 || shard_count < 1 || shard_id >= shard_count) {
     std::fprintf(stderr, "ccgraph: --shard must be in [0, --shards)\n");
     return 2;
   }
-  // Connect before the (potentially long) CSV parse so the aggregator's
-  // accept loop completes immediately; its recv timeout then covers the
-  // load-to-first-frame gap.
+  const GraphBuildConfig config = dist_graph_config(args);
+  // Connect first so the aggregator's accept loop completes immediately;
+  // its recv timeout then covers the gap to each window frame.
   auto conn = net::connect_loopback(
       static_cast<std::uint16_t>(args.get_long("connect", 0)));
   if (!conn) {
@@ -756,20 +812,20 @@ int cmd_shard_worker(const Args& args) {
                  shard_id);
     return 1;
   }
-  const auto records = load_csv(*in_path);
-  if (!records) return 1;
-  // The monitored set comes from the *whole* log (an IP another shard owns
-  // may still appear as a remote here); the worker filters to its
-  // partition internally via shard_of_record.
+  // The worker streams the whole log, learns the monitored set from every
+  // record (an IP another shard owns may appear here only as a remote) and
+  // keeps its own partition via shard_of_record.
   dist::ShardWorker worker({.shard_id = static_cast<std::uint32_t>(shard_id),
                             .shard_count = static_cast<std::uint32_t>(shard_count),
-                            .graph = dist_graph_config(args)},
-                           monitored_from(*records), std::move(*conn));
+                            .graph = config},
+                           {}, std::move(*conn));
   if (!worker.handshake()) {
     std::fprintf(stderr, "ccgraph: shard %ld: handshake refused\n", shard_id);
     return 1;
   }
-  replay_minutes(*records, worker);
+  // A log that cannot be read or holds no records exits without
+  // kEndOfStream, so the aggregator fails the run loudly.
+  if (!ingest_flow_log(*in_path, worker)) return 1;
   if (!worker.finish()) {
     std::fprintf(stderr, "ccgraph: shard %ld: shipping failed\n", shard_id);
     return 1;
@@ -781,7 +837,7 @@ int cmd_shard_worker(const Args& args) {
 }
 
 int cmd_aggregate(const Args& args) {
-  const long shard_count = args.get_long("shards", 0);
+  const long shard_count = args.get_count("shards", 0);
   if (shard_count < 1) return usage();
   auto listener = net::Listener::bind_loopback(
       static_cast<std::uint16_t>(args.get_long("listen", 0)));
@@ -810,11 +866,23 @@ int cmd_aggregate(const Args& args) {
 int cmd_serve(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
-  const long shard_count = args.get_long("shards", 4);
-  if (shard_count < 1 || shard_count > 64) {
+  const long shard_count = args.get_count("shards", 4);
+  if (shard_count > 64) {
     std::fprintf(stderr, "ccgraph: --shards must be in [1, 64]\n");
     return 2;
   }
+  // Every worker reads the whole log, so it must be re-readable: a FIFO
+  // would be split between the workers.
+  if (struct stat st; ::stat(in_path->c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+    std::fprintf(stderr,
+                 "ccgraph: serve needs a regular file for --in (each shard "
+                 "worker reads the whole log)\n");
+    return 2;
+  }
+  // Reject bad flags before any worker is forked.
+  dist_graph_config(args);
+  args.get_count("train", 3);
+  args.get_count("rank", 20);
 
   auto listener = net::Listener::bind_loopback();
   if (!listener) {
@@ -903,41 +971,40 @@ int cmd_serve(const Args& args) {
 int cmd_report(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
-  const auto records = load_csv(*in_path);
-  if (!records) return 1;
-  const auto monitored = monitored_from(*records);
+  const auto shards = static_cast<std::size_t>(args.get_count("shards", 4));
+  const double collapse = args.get_double("collapse", 0.001);
+  const auto training_windows = static_cast<std::size_t>(args.get_count("train", 3));
 
   // Build graphs through the sharded streaming pipeline (the production
   // path) so the report's metrics section shows per-shard counters, queue
   // high-water marks and merge latency for this log.
   ShardedGraphPipeline pipeline(
-      {.shards = static_cast<std::size_t>(args.get_long("shards", 4)),
+      {.shards = shards,
        .graph = {.facet = GraphFacet::kIp,
                  .window_minutes = 60,
-                 .collapse_threshold = args.get_double("collapse", 0.001)}},
-      monitored);
-  replay_minutes(*records, pipeline);
+                 .collapse_threshold = collapse}},
+      {});
+
+  // One analytics pass over the same stream populates the per-stage
+  // latency histograms (build/spectral/edges/tracker/patterns) and, when
+  // the log is long enough to finish training, an anomaly verdict per
+  // window.
+  std::vector<WindowReport> window_reports;
+  AnalyticsService service(
+      {.graph = {.facet = GraphFacet::kIp,
+                 .window_minutes = 60,
+                 .collapse_threshold = collapse},
+       .training_windows = training_windows},
+      {}, [&](const WindowReport& report) { window_reports.push_back(report); });
+  TeeSink tee({&pipeline, &service});
+  if (!ingest_flow_log(*in_path, tee)) return 1;
+  service.flush();
   const auto graphs = pipeline.finish();
   if (graphs.empty()) {
     std::fprintf(stderr, "ccgraph: no complete windows in %s\n", in_path->c_str());
     return 1;
   }
   const CommGraph& g = graphs.back();
-
-  // One analytics pass over the same log populates the per-stage latency
-  // histograms (build/spectral/edges/tracker/patterns) and, when the log
-  // is long enough to finish training, an anomaly verdict per window.
-  std::vector<WindowReport> window_reports;
-  AnalyticsService service(
-      {.graph = {.facet = GraphFacet::kIp,
-                 .window_minutes = 60,
-                 .collapse_threshold = args.get_double("collapse", 0.001)},
-       .training_windows =
-           static_cast<std::size_t>(args.get_long("train", 3))},
-      monitored,
-      [&](const WindowReport& report) { window_reports.push_back(report); });
-  replay_minutes(*records, service);
-  service.flush();
   const GraphMetrics m = compute_metrics(g);
   std::printf("== graph ==\n%s\n", m.to_string().c_str());
 
@@ -991,9 +1058,6 @@ int cmd_report(const Args& args) {
 int cmd_trace(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
-  const auto records = load_csv(*in_path);
-  if (!records) return 1;
-
   // The whole point of this command is the span tree, so tracing is forced
   // on even without --trace-out (which then also captures the same spans).
   if (!obs::TraceRing::global().enabled()) {
@@ -1002,12 +1066,12 @@ int cmd_trace(const Args& args) {
 
   AnalyticsService service(
       {.graph = {.facet = GraphFacet::kIp,
-                 .window_minutes = args.get_long("window", 60),
+                 .window_minutes = args.get_count("window", 60),
                  .collapse_threshold = args.get_double("collapse", 0.001)},
-       .training_windows = static_cast<std::size_t>(args.get_long("train", 3)),
+       .training_windows = static_cast<std::size_t>(args.get_count("train", 3)),
        .stall_injection_ms = static_cast<int>(args.get_long("stall-ms", 0))},
-      monitored_from(*records), [](const WindowReport&) {});
-  replay_minutes(*records, service);
+      {}, [](const WindowReport&) {});
+  if (!ingest_flow_log(*in_path, service)) return 1;
   service.flush();
 
   // Group completed spans by window trace and print each tree, children
@@ -1060,24 +1124,22 @@ int cmd_trace(const Args& args) {
 
 std::int64_t minute_arg(const Args& args, const std::string& key,
                         std::int64_t fallback) {
-  const auto v = args.get(key);
-  return v ? std::stoll(*v) : fallback;
+  static_assert(sizeof(long) == sizeof(std::int64_t));
+  return args.get_long(key, fallback);
 }
 
 int cmd_store_append(const Args& args) {
   const auto in_path = args.get("in");
   const auto store_dir = args.get("store");
   if (!in_path || !store_dir) return usage();
-  const auto records = load_csv(*in_path);
-  if (!records) return 1;
 
   // Same build configuration defaults as `anomaly`, so a stored log replays
   // into byte-identical windows.
-  const GraphFacet facet =
-      args.get_or("facet", "ip") == "ipport" ? GraphFacet::kIpPort : GraphFacet::kIp;
-  const auto graphs = build_graphs(*records, facet,
-                                   args.get_double("collapse", 0.001),
-                                   args.get_long("window", 60));
+  const GraphBuildConfig config{
+      .facet = args.get_or("facet", "ip") == "ipport" ? GraphFacet::kIpPort
+                                                      : GraphFacet::kIp,
+      .window_minutes = args.get_count("window", 60),
+      .collapse_threshold = args.get_double("collapse", 0.001)};
   store::WriterOptions options{
       .keyframe_interval = static_cast<std::size_t>(args.get_long("keyframe", 8)),
       .segment_bytes =
@@ -1087,19 +1149,16 @@ int cmd_store_append(const Args& args) {
     std::fprintf(stderr, "ccgraph: cannot open store %s\n", store_dir->c_str());
     return 1;
   }
-  std::size_t appended = 0;
-  for (const auto& g : graphs) {
-    if (writer->append(g)) {
-      ++appended;
-    } else {
-      std::fprintf(stderr, "ccgraph: append rejected for window %s\n",
-                   g.window().to_string().c_str());
-    }
-  }
+  // Each window is appended as soon as its last minute has been read; the
+  // writer logs any append it rejects.
+  store::StoreSink sink(*writer, config, {});
+  if (!ingest_flow_log(*in_path, sink)) return 1;
+  sink.flush();
   writer->close();
-  std::printf("appended %zu of %zu windows to %s\n%s\n", appended, graphs.size(),
-              store_dir->c_str(), writer->stats().to_string().c_str());
-  return appended == graphs.size() ? 0 : 1;
+  std::printf("appended %zu of %zu windows to %s\n%s\n", sink.windows_stored(),
+              sink.windows_built(), store_dir->c_str(),
+              writer->stats().to_string().c_str());
+  return sink.windows_stored() == sink.windows_built() ? 0 : 1;
 }
 
 int cmd_store_query(const Args& args) {
@@ -1156,35 +1215,18 @@ int cmd_store_replay(const Args& args) {
   const std::int64_t to =
       minute_arg(args, "to", std::numeric_limits<std::int64_t>::max());
 
-  std::ofstream summary_out;
-  if (const auto path = args.get("summary-out")) {
-    summary_out.open(*path);
-    if (!summary_out) {
-      std::fprintf(stderr, "ccgraph: cannot write %s\n", path->c_str());
-      return 1;
-    }
-  }
+  ReportPrinter printer;
+  if (!printer.open(args)) return 1;
 
   // Same analytics stack as `anomaly`, fed from stored windows instead of a
   // flow log: the two paths must produce identical per-window summaries.
-  std::size_t alerts = 0;
   AnalyticsService service(
-      {.training_windows = static_cast<std::size_t>(args.get_long("train", 3)),
-       .spectral = {.rank = static_cast<std::size_t>(args.get_long("rank", 20))}},
-      {}, [&](const WindowReport& report) {
-        std::printf("%s\n", report.summary().c_str());
-        if (summary_out.is_open()) summary_out << report.summary() << '\n';
-        if (report.alert) {
-          ++alerts;
-          for (std::size_t i = 0;
-               i < std::min<std::size_t>(5, report.anomalous_edges.size()); ++i) {
-            std::printf("  %s\n", report.anomalous_edges[i].to_string().c_str());
-          }
-        }
-      });
+      {.training_windows = static_cast<std::size_t>(args.get_count("train", 3)),
+       .spectral = {.rank = static_cast<std::size_t>(args.get_count("rank", 20))}},
+      {}, printer.callback());
   const std::size_t replayed = service.replay(*reader, from, to);
-  std::printf("%zu windows replayed, %zu alerts\n", replayed, alerts);
-  return alerts > 0 ? 3 : 0;
+  std::printf("%zu windows replayed, %zu alerts\n", replayed, printer.alerts());
+  return printer.alerts() > 0 ? 3 : 0;
 }
 
 int cmd_store_compact(const Args& args) {
@@ -1504,21 +1546,21 @@ int main(int argc, char** argv) {
   const std::string subcommand =
       argc >= 3 && argv[2][0] != '-' ? argv[2] : std::string();
   const Args args(argc - 2, argv + 2);
-  // Kernel parallelism is a global knob (shared pool): results are
-  // bit-identical at any setting, only the wall clock changes.
-  if (const long threads = args.get_long("threads", 0); threads > 0) {
-    ccg::parallel::set_thread_count(static_cast<int>(threads));
-  }
-  // So is the simd tier; --simd beats $CCG_SIMD beats auto-detection.
-  if (const auto simd_mode = args.get("simd"); simd_mode && !simd_mode->empty()) {
-    if (!ccg::simd::set_tier(*simd_mode)) {
-      std::fprintf(stderr, "ccgraph: unknown --simd tier '%s'\n",
-                   simd_mode->c_str());
-      return usage();
-    }
-  }
-  configure_diagnostics(args);
   try {
+    // Kernel parallelism is a global knob (shared pool): results are
+    // bit-identical at any setting, only the wall clock changes.
+    if (const long threads = args.get_long("threads", 0); threads > 0) {
+      ccg::parallel::set_thread_count(static_cast<int>(threads));
+    }
+    // So is the simd tier; --simd beats $CCG_SIMD beats auto-detection.
+    if (const auto simd_mode = args.get("simd"); simd_mode && !simd_mode->empty()) {
+      if (!ccg::simd::set_tier(*simd_mode)) {
+        std::fprintf(stderr, "ccgraph: unknown --simd tier '%s'\n",
+                     simd_mode->c_str());
+        return usage();
+      }
+    }
+    configure_diagnostics(args);
     const int rc = profiled ? run_profiled(command, subcommand, args)
                             : dispatch(command, subcommand, args);
     ccg::obs::SloWatcher::global().stop();
@@ -1526,6 +1568,11 @@ int main(int argc, char** argv) {
     const int metrics_rc = export_metrics(args);
     const int trace_rc = export_trace(args);
     return rc != 0 ? rc : (metrics_rc != 0 ? metrics_rc : trace_rc);
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "ccgraph: %s\n", e.what());
+    ccg::obs::SloWatcher::global().stop();
+    ccg::obs::Watchdog::global().stop();
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ccgraph: %s\n", e.what());
     ccg::obs::log_error("ccgraph terminated by exception",

@@ -53,6 +53,76 @@ endfunction()
 
 run_cli(0 --version)
 
+# Numeric flags parse the whole token and count flags (--window, --train,
+# --rank, --shards, --hours) must be at least 1: a bad value exits 2 with a
+# message naming the flag instead of running with a truncated or wrapped
+# value.
+function(expect_flag_error flag)
+  execute_process(COMMAND ${CLI} ${ARGN}
+                  WORKING_DIRECTORY ${WORKDIR}
+                  RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "--${flag}")
+    message(FATAL_ERROR "ccgraph ${ARGN} -> rc=${rc} (want 2 naming --${flag})\n${out}\n${err}")
+  endif()
+endfunction()
+expect_flag_error(window anomaly --in long.csv --window 60x)
+expect_flag_error(train anomaly --in long.csv --train -1)
+expect_flag_error(train anomaly --in long.csv --train 0)
+expect_flag_error(rank anomaly --in long.csv --rank 0)
+expect_flag_error(window trace --in long.csv --window 1.5)
+expect_flag_error(shards serve --in long.csv --shards 0)
+expect_flag_error(hours simulate --preset tiny --hours 0 --out never.csv)
+expect_flag_error(collapse graph --in clean.csv --collapse 0.1.2)
+expect_flag_error(window store append --in clean.csv --store never_store --window 2m)
+expect_flag_error(threads report --in clean.csv --threads four)
+
+# Streaming ingest: the log read through a pipe reports exactly what the
+# file run does; a header-only log and malformed rows keep their messages.
+execute_process(COMMAND ${CLI} anomaly --in long.csv --train 3 --rank 8
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE file_rc OUTPUT_VARIABLE file_out)
+execute_process(COMMAND sh -c "cat long.csv | '${CLI}' anomaly --in /dev/stdin --train 3 --rank 8"
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE pipe_rc OUTPUT_VARIABLE pipe_out)
+if(NOT file_rc EQUAL pipe_rc OR NOT file_out STREQUAL pipe_out)
+  message(FATAL_ERROR "anomaly over a pipe differs from the file run (rc ${pipe_rc} vs ${file_rc})")
+endif()
+# serve's workers each read the whole log, so a pipe is refused up front.
+execute_process(COMMAND sh -c "cat long.csv | '${CLI}' serve --in /dev/stdin --shards 2"
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "serve needs a regular file")
+  message(FATAL_ERROR "serve over a pipe -> rc=${rc}\n${err}")
+endif()
+file(STRINGS ${WORKDIR}/clean.csv clean_header LIMIT_COUNT 1)
+file(WRITE ${WORKDIR}/header_only.csv "${clean_header}\n")
+execute_process(COMMAND ${CLI} anomaly --in header_only.csv
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "header_only.csv contains no records" OR NOT out STREQUAL "")
+  message(FATAL_ERROR "header-only log -> rc=${rc}\n${out}\n${err}")
+endif()
+file(READ ${WORKDIR}/clean.csv clean_text)
+file(WRITE ${WORKDIR}/with_garbage.csv "${clean_text}not,a,row\n1,2\n")
+execute_process(COMMAND ${CLI} graph --in with_garbage.csv
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT err MATCHES "warning: 2 malformed rows skipped")
+  message(FATAL_ERROR "malformed rows -> rc=${rc}\n${err}")
+endif()
+# A row that goes back to minute 0 after later minutes stops the run at its
+# line instead of reopening or skipping a window.
+string(REGEX MATCH "\n(0,[^\n]*)\n" first_row "${clean_text}")
+file(WRITE ${WORKDIR}/out_of_order.csv "${clean_text}${CMAKE_MATCH_1}\n")
+execute_process(COMMAND ${CLI} anomaly --in out_of_order.csv --window 2 --train 2
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "flow log line [0-9]+: minute 0 follows minute [1-9]")
+  message(FATAL_ERROR "out-of-order minute -> rc=${rc}\n${err}")
+endif()
+
 # Store round-trip over 90 two-minute windows: replaying the snapshot store
 # must reproduce the direct streaming run line for line (same summaries,
 # same exit code), before and after compaction.
