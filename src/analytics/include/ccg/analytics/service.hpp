@@ -114,7 +114,6 @@ class AnalyticsService : public TelemetrySink {
                      std::int64_t t1 = std::numeric_limits<std::int64_t>::max());
 
   std::size_t windows_reported() const { return windows_reported_; }
-  const std::vector<WindowReport>& history() const { return history_; }
 
   /// Null unless options.incremental (or CCG_INCREMENTAL) is set.
   const incremental::IncrementalEngine* incremental_engine() const {
@@ -137,7 +136,6 @@ class AnalyticsService : public TelemetrySink {
   SegmentTracker tracker_;
   std::unique_ptr<incremental::IncrementalEngine> incremental_;
   std::size_t windows_reported_ = 0;
-  std::vector<WindowReport> history_;
 
   // Per-window stage latencies in the global registry, registered at
   // construction so every stage appears in exports even before it first

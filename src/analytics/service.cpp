@@ -151,9 +151,8 @@ void AnalyticsService::deliver(const CommGraph& graph) {
   }
   obs::Watchdog::global().end_window();
   obs::SloWatcher::global().note_window();
-  history_.push_back(std::move(report));
   ++windows_reported_;
-  on_report_(history_.back());
+  on_report_(report);
 }
 
 std::size_t AnalyticsService::replay(store::StoreReader& reader,

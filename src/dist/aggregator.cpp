@@ -161,8 +161,8 @@ std::optional<Aggregator::Result> Aggregator::run(const WindowSink& sink) {
   std::int64_t last_window = std::numeric_limits<std::int64_t>::min();
   for (;;) {
     // Barrier: learn every live shard's next window (or its end-of-stream)
-    // before deciding what to merge. The wait is the distributed analogue
-    // of the pipeline's window_merge stall and is tracked per window.
+    // before deciding what to merge. The wait is how long the slowest
+    // shard held the merge back, tracked per window.
     {
       obs::ScopedSpan wait(*m_merge_wait_, "ccg.dist.agg.merge_wait");
       for (std::size_t s = 0; s < shards_.size(); ++s) {

@@ -1,11 +1,10 @@
 // The shard-worker role of the distributed collector (docs/DISTRIBUTED.md).
 //
 // A ShardWorker is a TelemetrySink that keeps only its own partition of
-// the record stream (shard_of_record — the same function the in-process
-// pipeline uses), builds per-window *partial* graphs (collapse disabled:
-// traffic shares are meaningless on a partition), and ships each closed
-// window to the aggregator as a canonical keyframe tagged with shard id,
-// window begin and the deterministic window trace id.
+// the record stream (shard_of_record), builds per-window *partial* graphs
+// (collapse disabled: traffic shares are meaningless on a partition), and
+// ships each closed window to the aggregator as a canonical keyframe
+// tagged with shard id, window begin and the deterministic window trace id.
 #pragma once
 
 #include <cstdint>

@@ -14,8 +14,8 @@ namespace ccg::dist {
 namespace {
 
 /// Shards build partial graphs: same facet and window length as the job,
-/// collapse off. The aggregator collapses after the merge, exactly like
-/// the in-process pipeline.
+/// collapse off. The aggregator collapses after the merge, through the
+/// same finalize_window_graph a single GraphBuilder uses.
 GraphBuildConfig partial_config(const GraphBuildConfig& job) {
   GraphBuildConfig config = job;
   config.collapse_threshold = 0.0;

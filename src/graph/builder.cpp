@@ -191,15 +191,15 @@ void GraphBuilder::finalize_window() {
   acc_.clear();
 
   // 2. Materialize the raw (uncollapsed) graph, then finalize through the
-  //    shared canonicalize-and-collapse path — the same one the pipeline
-  //    merge and the distributed aggregator use — so every producer of
-  //    this window's graph agrees byte-for-byte.
+  //    shared canonicalize-and-collapse path — the same one the
+  //    distributed aggregator's merge uses — so every producer of this
+  //    window's graph agrees byte-for-byte.
   CommGraph raw(*current_window_);
   const auto add_node = [&](const NodeKey& key) {
     const NodeId id = raw.add_node(key);
     if (is_monitored(key)) {
       raw.set_monitored(id, true);
-    } else if (config_.count_late_monitored) {
+    } else {
       seen_unmonitored_.insert(key.ip);
     }
     return id;

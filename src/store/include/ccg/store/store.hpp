@@ -70,7 +70,7 @@ struct WriterOptions {
 };
 
 /// Appends closed windows to a store directory. Windows must arrive in
-/// strictly increasing window_begin order (the builder/pipeline guarantee).
+/// strictly increasing window_begin order (the builder/aggregator guarantee).
 /// Reopening an existing store appends a fresh segment, so a torn tail
 /// from a crashed writer can never corrupt new data.
 class StoreWriter {
@@ -215,9 +215,9 @@ std::optional<StoreStats> compact_store(const std::string& dir,
                                         CompactOptions options = {});
 
 /// TelemetrySink adapter: aggregates the stream into per-window graphs and
-/// persists each one as it closes. Hang it off a TelemetryHub (optionally
-/// behind a TeeSink next to the analytics service) to make any live
-/// deployment durable.
+/// persists each one as it closes. Hang it off a TelemetryHub to make any
+/// live deployment durable; AnalyticsService::set_store persists the
+/// windows the service itself builds.
 class StoreSink : public TelemetrySink {
  public:
   StoreSink(StoreWriter& writer, GraphBuildConfig config,

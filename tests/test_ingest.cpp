@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "ccg/analytics/pipeline.hpp"
 #include "ccg/analytics/service.hpp"
 #include "ccg/common/csv.hpp"
 #include "ccg/common/expect.hpp"
@@ -455,8 +454,7 @@ std::ptrdiff_t late_warns() {
 TEST(StreamingIngest, CountsAnIpThatTurnsLocalAfterAFinalizedWindow) {
   const IpAddr x = *IpAddr::parse("10.9.9.9");
   const std::vector<ConnectionSummary> log = {
-      // Window 0: X only as a remote, of several locals so that it lands
-      // in more than one pipeline shard below.
+      // Window 0: X only as a remote, of several locals.
       flow(0, "10.0.0.1", "10.9.9.9"), flow(0, "10.0.0.3", "10.9.9.9"),
       flow(0, "10.0.0.4", "10.9.9.9"), flow(0, "10.0.0.5", "10.9.9.9"),
       flow(1, "10.0.0.1", "10.0.0.2"),
@@ -489,23 +487,25 @@ TEST(StreamingIngest, CountsAnIpThatTurnsLocalAfterAFinalizedWindow) {
     EXPECT_EQ(late_warns(), 1);
   }
   {
-    // `ccgraph report` tees one stream into a sharded pipeline and an
-    // analytics service. Every shard learns every local IP, but only the
-    // service's builder, which sees whole windows, counts late IPs.
-    SCOPED_TRACE("report: pipeline shards + service");
+    // `ccgraph report` streams into one builder and hands each finished
+    // window to an analytics service through ingest_window. The service's
+    // own builder never sees a record, so the late IP is counted once.
+    SCOPED_TRACE("report: one builder + ingest_window");
     obs::LogRing::global().clear();
     const std::uint64_t late0 = late.value();
-    ShardedGraphPipeline pipeline({.shards = 4, .graph = config}, {});
+    GraphBuilder builder(config, {});
+    const int fd = pipe_with(text);
+    ASSERT_TRUE(stream_flow_log(fd, builder).has_value());
+    ::close(fd);
+    builder.flush();
     AnalyticsServiceOptions options;
     options.graph = config;
     options.training_windows = 1;
-    AnalyticsService service(options, {}, [](const WindowReport&) {});
-    TeeSink tee({&pipeline, &service});
-    const int fd = pipe_with(text);
-    ASSERT_TRUE(stream_flow_log(fd, tee).has_value());
-    ::close(fd);
-    service.flush();
-    check(pipeline.finish());
+    std::size_t reports = 0;
+    AnalyticsService service(options, {}, [&](const WindowReport&) { ++reports; });
+    for (const CommGraph& graph : builder.graphs()) service.ingest_window(graph);
+    EXPECT_EQ(reports, builder.graphs().size());
+    check(builder.graphs());
     EXPECT_EQ(late.value() - late0, 1u);
     EXPECT_EQ(late_warns(), 1);
   }
@@ -561,18 +561,20 @@ TEST(FlowLogReader, RejectsADecreasingMinuteWhereverItFalls) {
         flow(m, "10.0.0.1", "10.0.0.4"), flow(m + 2, "10.0.0.1", "10.0.0.2")};
     CaptureSink capture;
     GraphBuilder builder({.facet = GraphFacet::kIp, .window_minutes = 60}, {});
-    TeeSink tee({&capture, &builder});
-    const int fd = pipe_with(csv_text(log));
-    try {
-      stream_flow_log(fd, tee);
-      ADD_FAILURE() << "a decreasing minute was accepted";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("line 4: minute " + std::to_string(m) +
-                                           " follows minute " + std::to_string(m + 1)),
-                std::string::npos)
-          << e.what();
+    for (TelemetrySink* sink : {static_cast<TelemetrySink*>(&capture),
+                                static_cast<TelemetrySink*>(&builder)}) {
+      const int fd = pipe_with(csv_text(log));
+      try {
+        stream_flow_log(fd, *sink);
+        ADD_FAILURE() << "a decreasing minute was accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("line 4: minute " + std::to_string(m) +
+                                             " follows minute " + std::to_string(m + 1)),
+                  std::string::npos)
+            << e.what();
+      }
+      ::close(fd);
     }
-    ::close(fd);
     ASSERT_EQ(capture.batches.size(), 1u);
     EXPECT_EQ(capture.batches[0].first, MinuteBucket(m));
     EXPECT_TRUE(builder.graphs().empty());

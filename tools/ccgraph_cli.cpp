@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "ccg/analytics/counterfactual.hpp"
-#include "ccg/analytics/pipeline.hpp"
 #include "ccg/analytics/service.hpp"
 #include "ccg/dist/aggregator.hpp"
 #include "ccg/dist/shard_worker.hpp"
@@ -179,7 +178,7 @@ int usage() {
                "           (serve/aggregate also take --net-timeout-ms MS;\n"
                "           $CCG_NET_RETRIES / $CCG_NET_TIMEOUT_MS tune the\n"
                "           transport everywhere)\n"
-               "  report   --in flows.csv [--collapse F] [--shards N]\n"
+               "  report   --in flows.csv [--collapse F]\n"
                "  trace    --in flows.csv [--window MIN] [--train N]\n"
                "           [--stall-ms MS] runs the anomaly pipeline with\n"
                "           tracing forced on and prints each window's span tree\n"
@@ -287,8 +286,20 @@ std::optional<IngestStats> ingest_flow_log(const std::string& path,
   return stats;
 }
 
-/// Reads a whole flow log into memory, for the batch commands (graph,
-/// diff, segment, policy, report) that need every record at once.
+/// Streams the flow log at `path` into one GraphBuilder and returns its
+/// window graphs, oldest first. Memory is the open window plus the graphs
+/// already built, never the records. Nullopt when the command should
+/// exit 1.
+std::optional<std::vector<CommGraph>> stream_graphs(const std::string& path,
+                                                    const GraphBuildConfig& config) {
+  GraphBuilder builder(config, {});
+  if (!ingest_flow_log(path, builder)) return std::nullopt;
+  builder.flush();
+  return builder.take_graphs();
+}
+
+/// Reads a whole flow log into memory, for `policy`, which walks its
+/// baseline records twice: once to build the graph, once to mine rules.
 std::optional<std::vector<ConnectionSummary>> collect_records(const std::string& path) {
   struct Collector : TelemetrySink {
     std::vector<ConnectionSummary> records;
@@ -298,18 +309,6 @@ std::optional<std::vector<ConnectionSummary>> collect_records(const std::string&
   } collector;
   if (!ingest_flow_log(path, collector)) return std::nullopt;
   return std::move(collector.records);
-}
-
-std::vector<CommGraph> build_graphs(const std::vector<ConnectionSummary>& records,
-                                    GraphFacet facet, double collapse,
-                                    std::int64_t window_minutes) {
-  GraphBuilder builder({.facet = facet,
-                        .window_minutes = window_minutes,
-                        .collapse_threshold = collapse},
-                       {});
-  for (const auto& r : records) builder.ingest(r);
-  builder.flush();
-  return builder.take_graphs();
 }
 
 /// Prints window reports the way `anomaly` does — the summary line, up to
@@ -488,9 +487,11 @@ int cmd_graph(const Args& args) {
       args.get_or("facet", "ip") == "ipport" ? GraphFacet::kIpPort : GraphFacet::kIp;
   const double collapse = args.get_double("collapse", 0.001);
   const long window = args.get_count("window", 60);
-  const auto records = collect_records(*in_path);
-  if (!records) return 1;
-  const auto graphs = build_graphs(*records, facet, collapse, window);
+  const auto streamed = stream_graphs(
+      *in_path,
+      {.facet = facet, .window_minutes = window, .collapse_threshold = collapse});
+  if (!streamed) return 1;
+  const std::vector<CommGraph>& graphs = *streamed;
   for (const auto& g : graphs) {
     const GraphMetrics m = compute_metrics(g);
     std::printf("window %s: %s\n", g.window().to_string().c_str(),
@@ -529,16 +530,15 @@ int cmd_diff(const Args& args) {
   const auto after_path = args.get("after");
   if (!before_path || !after_path) return usage();
   const double factor = args.get_double("factor", 4.0);
-  const auto before_records = collect_records(*before_path);
-  if (!before_records) return 1;
-  const auto after_records = collect_records(*after_path);
-  if (!after_records) return 1;
 
   // One graph per log, whole-file windows, no collapsing (diffs should see
   // every endpoint).
-  const auto before = build_graphs(*before_records, GraphFacet::kIp, 0.0, 1 << 20);
-  const auto after = build_graphs(*after_records, GraphFacet::kIp, 0.0, 1 << 20);
-  const GraphDelta delta = diff_graphs(before.back(), after.back(), factor);
+  const GraphBuildConfig config{.facet = GraphFacet::kIp, .window_minutes = 1 << 20};
+  const auto before = stream_graphs(*before_path, config);
+  if (!before) return 1;
+  const auto after = stream_graphs(*after_path, config);
+  if (!after) return 1;
+  const GraphDelta delta = diff_graphs(before->back(), after->back(), factor);
   std::printf("%s\n", delta.summary().c_str());
   std::size_t shown = 0;
   for (const auto& e : delta.edges_added) {
@@ -571,11 +571,12 @@ int cmd_segment(const Args& args) {
   const double collapse = args.get_double("collapse", 0.001);
   const long window = args.get_count("window", 60);
   const double resolution = args.get_double("resolution", 2.0);
-  const auto records = collect_records(*in_path);
-  if (!records) return 1;
+  const auto graphs = stream_graphs(*in_path, {.facet = GraphFacet::kIp,
+                                               .window_minutes = window,
+                                               .collapse_threshold = collapse});
+  if (!graphs) return 1;
 
-  const auto graphs = build_graphs(*records, GraphFacet::kIp, collapse, window);
-  const CommGraph& g = graphs.back();
+  const CommGraph& g = graphs->back();
   const Segmentation seg = auto_segment(g, SegmentationMethod::kJaccardLouvain,
                                         {.louvain_resolution = resolution});
 
@@ -610,8 +611,13 @@ int cmd_policy(const Args& args) {
 
   // Segment the baseline graph, mine the default-deny policy from the
   // baseline stream, then check the second stream.
-  const auto graphs = build_graphs(*baseline, GraphFacet::kIp, 0.001, 1 << 20);
-  const CommGraph& g = graphs.back();
+  GraphBuilder builder({.facet = GraphFacet::kIp,
+                        .window_minutes = 1 << 20,
+                        .collapse_threshold = 0.001},
+                       {});
+  for (const auto& record : *baseline) builder.ingest(record);
+  builder.flush();
+  const CommGraph& g = builder.graphs().back();
   const Segmentation seg = auto_segment(g, SegmentationMethod::kJaccardLouvain);
   const SegmentMap segments = SegmentMap::from_segmentation(g, seg);
 
@@ -971,39 +977,30 @@ int cmd_serve(const Args& args) {
 int cmd_report(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
-  const auto shards = static_cast<std::size_t>(args.get_count("shards", 4));
   const double collapse = args.get_double("collapse", 0.001);
   const auto training_windows = static_cast<std::size_t>(args.get_count("train", 3));
+  const GraphBuildConfig config{.facet = GraphFacet::kIp,
+                                .window_minutes = 60,
+                                .collapse_threshold = collapse};
 
-  // Build graphs through the sharded streaming pipeline (the production
-  // path) so the report's metrics section shows per-shard counters, queue
-  // high-water marks and merge latency for this log.
-  ShardedGraphPipeline pipeline(
-      {.shards = shards,
-       .graph = {.facet = GraphFacet::kIp,
-                 .window_minutes = 60,
-                 .collapse_threshold = collapse}},
-      {});
-
-  // One analytics pass over the same stream populates the per-stage
-  // latency histograms (build/spectral/edges/tracker/patterns) and, when
-  // the log is long enough to finish training, an anomaly verdict per
-  // window.
-  std::vector<WindowReport> window_reports;
-  AnalyticsService service(
-      {.graph = {.facet = GraphFacet::kIp,
-                 .window_minutes = 60,
-                 .collapse_threshold = collapse},
-       .training_windows = training_windows},
-      {}, [&](const WindowReport& report) { window_reports.push_back(report); });
-  TeeSink tee({&pipeline, &service});
-  if (!ingest_flow_log(*in_path, tee)) return 1;
-  service.flush();
-  const auto graphs = pipeline.finish();
+  const auto streamed = stream_graphs(*in_path, config);
+  if (!streamed) return 1;
+  const std::vector<CommGraph>& graphs = *streamed;
   if (graphs.empty()) {
     std::fprintf(stderr, "ccgraph: no complete windows in %s\n", in_path->c_str());
     return 1;
   }
+
+  // One analytics pass over the built windows, entering the service the
+  // way the distributed aggregator's merged windows do, populates the
+  // per-stage latency histograms and, when the log is long enough to
+  // finish training, an anomaly verdict per window.
+  std::vector<std::string> timeline;
+  AnalyticsService service(
+      {.graph = config, .training_windows = training_windows}, {},
+      [&](const WindowReport& report) { timeline.push_back(report.summary()); });
+  for (const CommGraph& graph : graphs) service.ingest_window(graph);
+
   const CommGraph& g = graphs.back();
   const GraphMetrics m = compute_metrics(g);
   std::printf("== graph ==\n%s\n", m.to_string().c_str());
@@ -1036,19 +1033,10 @@ int cmd_report(const Args& args) {
     std::printf("\n== stability ==\n%s\n", analyze_series(graphs).summary().c_str());
   }
 
-  if (window_reports.size() >= 2) {
+  if (timeline.size() >= 2) {
     std::printf("\n== window timeline ==\n");
-    for (const auto& report : window_reports) {
-      std::printf("%s\n", report.summary().c_str());
-    }
+    for (const std::string& line : timeline) std::printf("%s\n", line.c_str());
   }
-
-  std::printf("\n== pipeline ==\n");
-  const PipelineStats stats = pipeline.stats();
-  std::printf("%llu records in %llu batches across %zu shards (%.0f records/s)\n",
-              static_cast<unsigned long long>(stats.records),
-              static_cast<unsigned long long>(stats.batches),
-              pipeline.shard_count(), stats.records_per_second());
 
   std::printf("\n== metrics ==\n%s",
               obs::summary_text(obs::Registry::global().snapshot()).c_str());
