@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 
+#include "ccg/obs/config.hpp"
 #include "ccg/obs/export.hpp"
 #include "ccg/obs/heap.hpp"
 #include "ccg/obs/prof_counters.hpp"
@@ -111,11 +112,11 @@ void emit_resource_summary() {
 
 namespace {
 
-// CCG_TRACE_OUT=<path> captures the whole bench run's spans and writes a
-// Chrome trace-event file at exit (same format the CLI's --trace-out emits).
+// CCG_TRACE_OUT=<path> (the `trace_out` knob) captures the whole bench
+// run's spans and writes a Chrome trace-event file at exit (same format the
+// CLI's --trace-out emits).
 void emit_trace_file() {
-  const char* path = std::getenv("CCG_TRACE_OUT");
-  if (path == nullptr || *path == '\0') return;
+  const char* path = obs::runtime_config().trace_out.c_str();
   if (obs::write_trace_file(path)) {
     std::printf("\n==== trace written: %s ====\n", path);
   } else {
@@ -141,7 +142,7 @@ SimulationResult simulate(const ClusterSpec& spec, SimulateOptions options) {
   // leaked, so it is still alive when the handler runs.
   static const bool metrics_at_exit = [] {
     obs::Registry::global();
-    if (std::getenv("CCG_TRACE_OUT") != nullptr) {
+    if (!obs::runtime_config().trace_out.empty()) {
       obs::TraceRing::global().enable(obs::default_trace_ring_capacity());
       (void)std::atexit(emit_trace_file);
     }

@@ -58,8 +58,8 @@ struct AnalyticsServiceOptions {
   /// Patch-driven incremental segmentation (src/incremental): per-window
   /// MinHash/score/Louvain state is maintained from exact graph patches
   /// instead of recomputed. Exact mode — reports stay byte-identical to
-  /// the plain service. CCG_INCREMENTAL=1 in the environment also turns
-  /// this on (any value but "0").
+  /// the plain service. The CLI sets it from the `incremental` knob
+  /// (--incremental / CCG_INCREMENTAL).
   bool incremental = false;
   /// With incremental: check every window against a scratch full
   /// recompute (docs/INCREMENTAL.md contracts). CI/debug knob — it does
@@ -115,7 +115,7 @@ class AnalyticsService : public TelemetrySink {
 
   std::size_t windows_reported() const { return windows_reported_; }
 
-  /// Null unless options.incremental (or CCG_INCREMENTAL) is set.
+  /// Null unless options.incremental is set.
   const incremental::IncrementalEngine* incremental_engine() const {
     return incremental_.get();
   }

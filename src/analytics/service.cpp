@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <string_view>
 #include <thread>
 
 #include "ccg/common/expect.hpp"
@@ -74,10 +72,6 @@ AnalyticsService::AnalyticsService(AnalyticsServiceOptions options,
       tracker_(options.segmentation, options.segmentation_options) {
   CCG_EXPECT(options.training_windows >= 1);
   CCG_EXPECT(on_report_ != nullptr);
-  if (const char* env = std::getenv("CCG_INCREMENTAL");
-      env != nullptr && env[0] != '\0' && std::string_view(env) != "0") {
-    options_.incremental = true;
-  }
   if (options_.incremental) {
     incremental::IncrementalOptions iopts;
     iopts.method = options_.segmentation;

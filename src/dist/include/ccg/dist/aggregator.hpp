@@ -29,8 +29,8 @@ struct AggregatorOptions {
   /// The full job config (facet / window / collapse); shards must announce
   /// an equal config in their handshake.
   GraphBuildConfig graph;
-  /// Per-recv timeout; -1 uses CCG_NET_TIMEOUT_MS. A shard that stays
-  /// silent longer than this fails the run.
+  /// Per-recv timeout; -1 uses the `net_timeout_ms` knob. A shard that
+  /// stays silent longer than this fails the run.
   int recv_timeout_ms = -1;
   /// Where the shard-failure flight record lands ("" = current directory).
   std::string flight_dir;

@@ -9,10 +9,10 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
+#include "ccg/obs/config.hpp"
 #include "ccg/obs/log.hpp"
 #include "ccg/obs/metrics.hpp"
 #include "ccg/obs/trace.hpp"
@@ -47,19 +47,6 @@ NetMetrics& metrics() {
   return m;
 }
 
-int env_int(const char* name, int fallback, int floor) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || v < floor || v > 1'000'000'000L) {
-    obs::log_warn("net: ignoring malformed env knob",
-                  {obs::field("name", name), obs::field("value", raw)});
-    return fallback;
-  }
-  return static_cast<int>(v);
-}
-
 void put_u32le(std::uint8_t* dst, std::uint32_t v) {
   dst[0] = static_cast<std::uint8_t>(v);
   dst[1] = static_cast<std::uint8_t>(v >> 8);
@@ -80,7 +67,9 @@ std::int64_t now_ns() {
 
 /// deadline_ns == 0 means "no deadline".
 std::int64_t deadline_from(int timeout_ms) {
-  if (timeout_ms < 0) timeout_ms = configured_timeout_ms();
+  if (timeout_ms < 0) {
+    timeout_ms = static_cast<int>(obs::runtime_config().net_timeout_ms);
+  }
   if (timeout_ms == 0) return 0;
   return now_ns() + std::int64_t{timeout_ms} * 1'000'000;
 }
@@ -102,16 +91,6 @@ void set_nodelay(int fd) {
 }
 
 }  // namespace
-
-int configured_retries() {
-  static const int v = env_int("CCG_NET_RETRIES", 10, 1);
-  return v;
-}
-
-int configured_timeout_ms() {
-  static const int v = env_int("CCG_NET_TIMEOUT_MS", 30'000, 0);
-  return v;
-}
 
 // --- FrameConn ---------------------------------------------------------------
 
@@ -344,7 +323,9 @@ std::optional<FrameConn> Listener::accept(int timeout_ms) {
 // --- client / socketpair -----------------------------------------------------
 
 std::optional<FrameConn> connect_loopback(std::uint16_t port, int retries) {
-  if (retries < 0) retries = configured_retries();
+  if (retries < 0) {
+    retries = static_cast<int>(obs::runtime_config().net_retries);
+  }
   const std::string peer = "127.0.0.1:" + std::to_string(port);
   int delay_ms = 10;
   for (int attempt = 0; attempt < retries; ++attempt) {

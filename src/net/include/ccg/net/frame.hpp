@@ -21,13 +21,6 @@
 
 namespace ccg::net {
 
-/// Connect attempts before giving up: CCG_NET_RETRIES, default 10.
-int configured_retries();
-
-/// Receive/accept timeout in ms: CCG_NET_TIMEOUT_MS, default 30000.
-/// 0 means wait forever.
-int configured_timeout_ms();
-
 /// Largest accepted frame payload. A length prefix beyond this is treated
 /// as corruption, not an allocation request.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 28;  // 256 MiB
@@ -63,8 +56,8 @@ class FrameConn {
   /// Writes one complete frame (handles partial writes). False on error.
   bool send(std::span<const std::uint8_t> payload);
 
-  /// Reads one complete frame into `payload`. timeout_ms < 0 uses
-  /// configured_timeout_ms(); 0 waits forever. On anything but kOk the
+  /// Reads one complete frame into `payload`. timeout_ms < 0 uses the
+  /// `net_timeout_ms` knob; 0 waits forever. On anything but kOk the
   /// payload contents are unspecified.
   RecvStatus recv(std::vector<std::uint8_t>& payload, int timeout_ms = -1);
 
@@ -109,7 +102,7 @@ class Listener {
 };
 
 /// Connects to 127.0.0.1:port, retrying with capped exponential backoff
-/// (10 ms doubling to 500 ms). retries < 0 uses configured_retries().
+/// (10 ms doubling to 500 ms). retries < 0 uses the `net_retries` knob.
 std::optional<FrameConn> connect_loopback(std::uint16_t port, int retries = -1);
 
 /// Connected AF_UNIX stream socketpair — the in-process / fork transport.

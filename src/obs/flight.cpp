@@ -6,6 +6,7 @@
 #include <exception>
 #include <fstream>
 
+#include "ccg/obs/config.hpp"
 #include "ccg/obs/export.hpp"
 #include "ccg/obs/log.hpp"
 #include "ccg/obs/metrics.hpp"
@@ -36,6 +37,19 @@ void json_escape_into(std::string& out, const std::string& s) {
       out.push_back(c);
     }
   }
+}
+
+/// Every knob as "value (source)", the way `ccgraph --version` prints it.
+std::string config_json(const RuntimeConfig& config) {
+  std::string out = "{";
+  for (std::size_t i = 0; i < kKnobCount; ++i) {
+    out += std::string(i == 0 ? "\n" : ",\n") + "    \"" + knobs()[i].name;
+    out += "\": \"";
+    json_escape_into(out, value_text(config, knobs()[i]) + " (" +
+                              source_name(config.sources[i]) + ")");
+    out += "\"";
+  }
+  return out + "\n  }";
 }
 
 std::string log_records_json(const std::vector<LogRecord>& records) {
@@ -124,6 +138,7 @@ std::string dump_flight_record(const std::string& dir,
   out += "  \"spans_dropped\": " + std::to_string(ring.dropped()) + ",\n";
   out += "  \"log_dropped\": " +
          std::to_string(LogRing::global().dropped()) + ",\n";
+  out += "  \"config\": " + config_json(runtime_config()) + ",\n";
   out += "  \"log\": " + log_records_json(records) + ",\n";
   out += "  \"metrics\": " + to_json(Registry::global().snapshot());
   // to_json ends with "}\n"; splice the remaining members in.

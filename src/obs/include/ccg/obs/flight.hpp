@@ -15,7 +15,7 @@
 //    brackets each window with begin_window()/end_window(); a window still
 //    open past the deadline triggers one dump tagged with that window's
 //    trace id. Deadline and dump directory come from the caller (ccgraph
-//    --watchdog-ms/--flight-dir, or CCG_WATCHDOG_MS/CCG_FLIGHT_DIR).
+//    reads the `watchdog_ms` and `flight_dir` knobs of runtime_config()).
 #pragma once
 
 #include <chrono>

@@ -92,8 +92,8 @@ class LogRing {
   std::size_t dropped_ = 0;
 };
 
-/// Minimum level mirrored to stderr. Initialized once from CCG_LOG_LEVEL
-/// (debug|info|warn|error), defaulting to warn.
+/// Minimum level mirrored to stderr. Initialized once from the `log_level`
+/// knob of runtime_config() (--log-level / CCG_LOG_LEVEL, default warn).
 LogLevel stderr_level() noexcept;
 void set_stderr_level(LogLevel level) noexcept;
 
@@ -131,8 +131,8 @@ class StderrRateLimiter {
   std::uint64_t suppressed_total_ = 0;
 };
 
-/// The limiter guarding the process's stderr mirror. Rate from
-/// CCG_LOG_STDERR_RPS (default 25/s per level, burst 2x).
+/// The limiter guarding the process's stderr mirror. Rate from the
+/// `log_stderr_rps` knob of runtime_config() per level, burst 2x.
 StderrRateLimiter& stderr_rate_limiter();
 
 /// Mirrors a record shipped from another process (a telemetry frame) to

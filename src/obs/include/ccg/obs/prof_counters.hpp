@@ -11,7 +11,8 @@
 //   enable_counters();                     // once, openers are process-wide
 //   { CounterScope scope(values); ... }    // delta into `values`
 //
-// `CCG_PROF_NO_PERF=1` forces tier 2, used by CI to pin the fallback path.
+// The `prof_no_perf` knob (CCG_PROF_NO_PERF=1) forces tier 2, used by CI to
+// pin the fallback path.
 #pragma once
 
 #include <cstdint>

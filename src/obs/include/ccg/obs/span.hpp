@@ -107,7 +107,7 @@ class ScopedSpan {
 };
 
 /// TraceRing capacity used when a component enables tracing without an
-/// explicit size: `CCG_TRACE_RING` (slots, read once) or 65536. Each
+/// explicit size: the `trace_ring` knob of runtime_config(). Each
 /// retained slot is one TraceEvent (~96 bytes + the span-name string), so
 /// the default ring holds on the order of 8 MB once warm.
 std::size_t default_trace_ring_capacity();

@@ -3,9 +3,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
+#include "ccg/obs/config.hpp"
 #include "ccg/obs/metrics.hpp"
 #include "ccg/obs/trace.hpp"
 
@@ -23,14 +23,9 @@ std::uint64_t now_ns() {
           .count());
 }
 
-LogLevel env_stderr_level() {
-  const char* v = std::getenv("CCG_LOG_LEVEL");
-  if (v == nullptr || *v == '\0') return LogLevel::kWarn;
-  return parse_level(v, LogLevel::kWarn);
-}
-
 std::atomic<int>& stderr_level_storage() {
-  static std::atomic<int> level{static_cast<int>(env_stderr_level())};
+  static std::atomic<int> level{static_cast<int>(
+      parse_level(runtime_config().log_level, LogLevel::kWarn))};
   return level;
 }
 
@@ -133,13 +128,7 @@ LogRing& LogRing::global() {
     auto* ring = new LogRing();  // leaked, like the registry
     // Each retained slot owns a LogRecord (~88 bytes + message and field
     // strings); the 1024-record default stays well under 1 MB.
-    if (const char* env = std::getenv("CCG_LOG_RING")) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0' && parsed > 0) {
-        ring->set_capacity(static_cast<std::size_t>(parsed));
-      }
-    }
+    ring->set_capacity(static_cast<std::size_t>(runtime_config().log_ring));
     return ring;
   }();
   return *instance;
@@ -242,15 +231,6 @@ std::uint64_t StderrRateLimiter::suppressed() const {
 
 namespace {
 
-double env_stderr_rps() {
-  if (const char* env = std::getenv("CCG_LOG_STDERR_RPS")) {
-    char* end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end != env && *end == '\0' && v > 0.0) return v;
-  }
-  return 25.0;
-}
-
 Counter& stderr_dropped_counter() {
   static Counter* c = &Registry::global().counter("ccg.log.stderr_dropped");
   return *c;
@@ -279,7 +259,7 @@ void mirror_to_stderr(const LogRecord& record, const std::string& tail) {
 
 StderrRateLimiter& stderr_rate_limiter() {
   static StderrRateLimiter* limiter = [] {
-    const double rate = env_stderr_rps();
+    const double rate = runtime_config().log_stderr_rps;
     return new StderrRateLimiter(rate, 2.0 * rate);  // leaked, like the ring
   }();
   return *limiter;

@@ -1,10 +1,10 @@
 #include "ccg/obs/prof_counters.hpp"
 
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
 
+#include "ccg/obs/config.hpp"
 #include "ccg/obs/metrics.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -164,10 +164,9 @@ CounterTier enable_counters() {
     g_tier = CounterTier::kRusage;
 #endif
 #if defined(CCG_PROF_HAVE_PERF)
-    const char* no_perf = std::getenv("CCG_PROF_NO_PERF");
-    const bool forced_off = no_perf != nullptr && no_perf[0] != '\0' &&
-                            std::strcmp(no_perf, "0") != 0;
-    if (!forced_off && open_all_perf()) g_tier = CounterTier::kPerfEvent;
+    if (!runtime_config().prof_no_perf && open_all_perf()) {
+      g_tier = CounterTier::kPerfEvent;
+    }
 #endif
   });
   return g_tier;

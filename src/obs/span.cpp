@@ -1,22 +1,13 @@
 #include "ccg/obs/span.hpp"
 
-#include <cstdlib>
 #include <thread>
+
+#include "ccg/obs/config.hpp"
 
 namespace ccg::obs {
 
 std::size_t default_trace_ring_capacity() {
-  static const std::size_t capacity = [] {
-    if (const char* env = std::getenv("CCG_TRACE_RING")) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0' && parsed > 0) {
-        return static_cast<std::size_t>(parsed);
-      }
-    }
-    return std::size_t{1} << 16;
-  }();
-  return capacity;
+  return static_cast<std::size_t>(runtime_config().trace_ring);
 }
 
 TraceRing& TraceRing::global() {

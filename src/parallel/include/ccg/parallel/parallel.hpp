@@ -24,11 +24,11 @@
 namespace ccg::parallel {
 
 /// Effective worker count (>= 1). Resolution order: the last positive
-/// set_thread_count() value (CLI --threads), else the CCG_THREADS
-/// environment variable (read once), else std::thread::hardware_concurrency.
+/// set_thread_count() value, else the `threads` knob of obs::runtime_config()
+/// (--threads / CCG_THREADS), else std::thread::hardware_concurrency.
 int thread_count();
 
-/// Overrides thread_count(); n <= 0 restores the env/hardware default.
+/// Overrides thread_count(); n <= 0 restores the configured default.
 /// The pool grows lazily; shrinking just idles the extra workers.
 void set_thread_count(int n);
 

@@ -1,16 +1,17 @@
 #include "ccg/parallel/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 
+#include "ccg/obs/config.hpp"
 #include "ccg/obs/heap.hpp"
 #include "ccg/obs/metrics.hpp"
 #include "ccg/obs/prof.hpp"
@@ -20,23 +21,6 @@
 namespace ccg::parallel {
 
 namespace {
-
-int env_thread_count() {
-  static const int cached = [] {
-    const char* v = std::getenv("CCG_THREADS");
-    if (v == nullptr || *v == '\0') return 0;
-    const long n = std::strtol(v, nullptr, 10);
-    return n > 0 && n <= 1024 ? static_cast<int>(n) : 0;
-  }();
-  return cached;
-}
-
-int default_thread_count() {
-  const int env = env_thread_count();
-  if (env > 0) return env;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
 
 std::atomic<int> g_override{0};
 
@@ -282,8 +266,11 @@ class Pool {
 }  // namespace
 
 int thread_count() {
-  const int override = g_override.load(std::memory_order_relaxed);
-  return override > 0 ? override : default_thread_count();
+  static const int hardware =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  if (const int n = g_override.load(std::memory_order_relaxed); n > 0) return n;
+  const long configured = obs::runtime_config().threads;
+  return configured > 0 ? static_cast<int>(configured) : hardware;
 }
 
 void set_thread_count(int n) {

@@ -1,17 +1,18 @@
 // Tier dispatch: resolves which backend the public wrappers call.
 //
-// Resolution order (strongest first): set_tier() from the CLI, the
-// CCG_SIMD environment variable, then "auto" (best compiled-in tier the
-// running CPU supports). A requested tier that is unavailable degrades to
-// the best available one with a warning, so CCG_SIMD=avx2 on a non-AVX2
-// host still runs, just slower. The resolved tier is published as the
-// ccg.simd.tier gauge so flight records say which tier produced a run.
+// Resolution order (strongest first): set_tier(), then the `simd` knob of
+// obs::runtime_config() (--simd / CCG_SIMD, default "auto": the best
+// compiled-in tier the running CPU supports). A requested tier that is
+// unavailable degrades to the best available one with a warning, so
+// CCG_SIMD=avx2 on a non-AVX2 host still runs, just slower. The resolved
+// tier is published as the ccg.simd.tier gauge so flight records say which
+// tier produced a run.
 #include <atomic>
-#include <cstdlib>
 #include <string>
 #include <string_view>
 
 #include "backend.hpp"
+#include "ccg/obs/config.hpp"
 #include "ccg/obs/log.hpp"
 #include "ccg/obs/metrics.hpp"
 
@@ -58,48 +59,14 @@ void publish_tier(const Backend* b) {
 
 std::atomic<const Backend*> g_backend{nullptr};
 
-const Backend* resolve_from_env() {
-  const Backend* chosen = nullptr;
-  const char* env = std::getenv("CCG_SIMD");
-  if (env != nullptr && std::string_view(env) != "auto" &&
-      std::string_view(env)[0] != '\0') {
-    const std::string_view mode(env);
-    Tier want = Tier::kScalar;
-    bool known = true;
-    if (mode == "scalar") {
-      want = Tier::kScalar;
-    } else if (mode == "avx2") {
-      want = Tier::kAvx2;
-    } else if (mode == "neon") {
-      want = Tier::kNeon;
-    } else {
-      known = false;
-      obs::log_warn("unknown CCG_SIMD value, using auto",
-                    {obs::field("value", mode)});
-    }
-    if (known) {
-      chosen = backend_for(want);
-      if (chosen == nullptr) {
-        chosen = best_available();
-        obs::log_warn("requested simd tier unavailable, degrading",
-                      {obs::field("requested", tier_name(want)),
-                       obs::field("dispatched", tier_name(chosen->tier))});
-      }
-    }
-  }
-  if (chosen == nullptr) chosen = best_available();
-  return chosen;
-}
-
 }  // namespace
 
 const Backend* current_backend() {
   const Backend* b = g_backend.load(std::memory_order_acquire);
   if (b == nullptr) {
     // Benign race: concurrent first calls resolve to the same backend.
-    b = resolve_from_env();
-    g_backend.store(b, std::memory_order_release);
-    publish_tier(b);
+    set_tier(obs::runtime_config().simd);
+    b = g_backend.load(std::memory_order_acquire);
   }
   return b;
 }

@@ -34,8 +34,9 @@
 // bit-identity across tiers. The simd library is compiled with
 // -ffp-contract=off and uses explicit mul/add intrinsics only.
 //
-// Dispatch resolution order: set_tier() (CLI --simd) beats the CCG_SIMD
-// environment variable ("auto" | "scalar" | "avx2" | "neon") beats auto.
+// Dispatch resolution order: set_tier() beats the `simd` knob of
+// obs::runtime_config() (--simd / CCG_SIMD: "auto" | "scalar" | "avx2" |
+// "neon", default auto).
 // "auto" picks the best compiled-in tier the running CPU supports.
 // Requesting a tier that is not compiled in or not supported by the CPU
 // degrades to the best available one (so CCG_SIMD=scalar is honored on
@@ -55,8 +56,8 @@ enum class Tier : int { kScalar = 0, kAvx2 = 1, kNeon = 2 };
 const char* tier_name(Tier tier);
 
 /// The tier whose backend the primitives below currently dispatch to.
-/// Resolves lazily on first use (env + CPU probe), then stays fixed until
-/// set_tier() changes it.
+/// Resolves lazily on first use (runtime config + CPU probe), then stays
+/// fixed until set_tier() changes it.
 Tier active_tier();
 
 /// Compiled-in and CPU-supported — i.e. selectable right now.

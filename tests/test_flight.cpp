@@ -5,6 +5,7 @@
 //
 // Suites here are intentionally NOT named Obs*: they sleep, fork (death
 // test) and install signal handlers, none of which belong in the TSan run.
+#include "ccg/obs/config.hpp"
 #include "ccg/obs/flight.hpp"
 
 #include <gtest/gtest.h>
@@ -78,6 +79,11 @@ TEST(FlightDump, CombinesLogSpansAndMetrics) {
             std::string::npos);
   EXPECT_NE(body.find("evidence line"), std::string::npos) << "log ring";
   EXPECT_NE(body.find("\"metrics\": {"), std::string::npos);
+  // The effective runtime config rides along, one entry per knob.
+  const obs::RuntimeConfig& config = obs::runtime_config();
+  EXPECT_NE(body.find("\"config\": {"), std::string::npos);
+  EXPECT_NE(body.find("\"simd\": \"" + config.simd + " ("), std::string::npos);
+  EXPECT_NE(body.find("\"trace_out\": \""), std::string::npos);
   EXPECT_NE(body.find("\"traceEvents\": ["), std::string::npos);
   EXPECT_NE(body.find("ccg.test.flight"), std::string::npos) << "span made it";
   EXPECT_EQ(body.find("\"span_count\": 0"), std::string::npos);

@@ -17,12 +17,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -47,6 +44,7 @@
 #include "ccg/graph/serialize.hpp"
 #include "ccg/net/frame.hpp"
 #include "ccg/net/http.hpp"
+#include "ccg/obs/config.hpp"
 #include "ccg/obs/export.hpp"
 #include "ccg/obs/fleet.hpp"
 #include "ccg/obs/flight.hpp"
@@ -57,7 +55,6 @@
 #include "ccg/obs/prof_counters.hpp"
 #include "ccg/obs/span.hpp"
 #include "ccg/obs/trace.hpp"
-#include "ccg/parallel/parallel.hpp"
 #include "ccg/simd/simd.hpp"
 #include "ccg/policy/higher_order.hpp"
 #include "ccg/policy/policy_io.hpp"
@@ -75,14 +72,8 @@ namespace {
 
 using namespace ccg;
 
-/// A malformed or out-of-range flag value: main() prints it and exits 2.
-class FlagError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// Trivial --key value / --flag parser. Numeric getters parse the whole
-/// token and throw FlagError naming the flag otherwise.
+/// Trivial --key value / --flag parser. Numeric getters parse values the
+/// way runtime knobs are parsed and throw obs::ConfigError naming the flag.
 class Args {
  public:
   Args(int argc, char** argv) {
@@ -107,40 +98,20 @@ class Args {
   }
   double get_double(const std::string& key, double fallback) const {
     const auto v = get(key);
-    if (!v) return fallback;
-    double out = 0.0;
-    if (!parse_whole(*v, out) || !std::isfinite(out)) {
-      throw FlagError("--" + key + " expects a number, got '" + *v + "'");
-    }
-    return out;
+    return v ? obs::parse_value<double>(*v, "--" + key) : fallback;
   }
   long get_long(const std::string& key, long fallback) const {
     const auto v = get(key);
-    if (!v) return fallback;
-    long out = 0;
-    if (!parse_whole(*v, out)) {
-      throw FlagError("--" + key + " expects an integer, got '" + *v + "'");
-    }
-    return out;
+    return v ? obs::parse_value<long>(*v, "--" + key) : fallback;
   }
   /// Count flags (--window, --train, --rank, --shards, --hours): a given
   /// value must be at least 1.
   long get_count(const std::string& key, long fallback) const {
-    const long v = get_long(key, fallback);
-    if (get(key) && v < 1) {
-      throw FlagError("--" + key + " must be at least 1, got '" + *get(key) + "'");
-    }
-    return v;
+    const auto v = get(key);
+    return v ? obs::parse_value<long>(*v, "--" + key, 1) : fallback;
   }
 
  private:
-  template <typename T>
-  static bool parse_whole(const std::string& text, T& out) {
-    const char* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-    return !text.empty() && ec == std::errc{} && ptr == end;
-  }
-
   std::map<std::string, std::string> values_;
 };
 
@@ -159,8 +130,8 @@ int usage() {
                "  diff     --before a.csv --after b.csv [--factor F]\n"
                "  anomaly  --in flows.csv [--window MIN] [--train N] [--rank K]\n"
                "           [--summary-out FILE] [--incremental] patch-driven\n"
-               "           incremental segmentation ($CCG_INCREMENTAL=1 too;\n"
-               "           output is byte-identical to a plain run)\n"
+               "           incremental segmentation (output is byte-identical\n"
+               "           to a plain run)\n"
                "           [--incremental-verify] check each window against a\n"
                "           full recompute  [--incremental-refine] warm-start\n"
                "           Louvain (bounded divergence)\n"
@@ -175,9 +146,6 @@ int usage() {
                "  shard-worker --in flows.csv --connect PORT --shard I\n"
                "           --shards N [--window MIN] [--facet ip|ipport]\n"
                "           [--collapse F] ships its partition to an aggregator\n"
-               "           (serve/aggregate also take --net-timeout-ms MS;\n"
-               "           $CCG_NET_RETRIES / $CCG_NET_TIMEOUT_MS tune the\n"
-               "           transport everywhere)\n"
                "  report   --in flows.csv [--collapse F]\n"
                "  trace    --in flows.csv [--window MIN] [--train N]\n"
                "           [--stall-ms MS] runs the anomaly pipeline with\n"
@@ -203,42 +171,12 @@ int usage() {
                "every command also accepts:\n"
                "  --metrics-out FILE   write a JSON metrics snapshot on exit\n"
                "  --metrics-prom FILE  same registry in Prometheus text format\n"
-               "  --trace-out FILE     record spans; write Chrome trace-event\n"
-               "                       JSON (chrome://tracing, Perfetto) on exit\n"
-               "                       (aggregators write a merged multi-process\n"
-               "                       trace when shards shipped spans)\n"
                "  --trace-buffer       record spans in memory without writing a\n"
                "                       file (shard workers buffer spans to ship)\n"
-               "  --ops-port PORT      serve /metrics /healthz /readyz /tracez\n"
-               "                       on 127.0.0.1:PORT while the command runs\n"
-               "                       (0 = ephemeral; also $CCG_OPS_PORT);\n"
-               "                       aggregators expose per-shard series with\n"
-               "                       shard=\"N\" labels\n"
-               "  --slo-watch          evaluate pipeline SLOs in the background:\n"
-               "                       window lag, watchdog stalls, net errors,\n"
-               "                       incremental fallbacks; breaches log warn,\n"
-               "                       sustained burns log error + flight dump\n"
-               "  --slo-interval-ms N  SLO evaluation cadence (default 1000)\n"
-               "  --slo-window-lag-ms N  max silence between windows (default\n"
-               "                       5000) before the lag SLO breaches\n"
-               "  --slo-burn N         consecutive breach intervals before a\n"
-               "                       burn is sustained (default 3); env twins\n"
-               "                       $CCG_SLO_WATCH/_INTERVAL_MS/_WINDOW_LAG_MS/_BURN\n"
-               "  --log-level LVL      stderr log threshold debug|info|warn|error\n"
-               "                       (default: $CCG_LOG_LEVEL, else warn)\n"
-               "  --flight-dir DIR     install crash handlers; flight records\n"
-               "                       land here (default: $CCG_FLIGHT_DIR)\n"
-               "  --watchdog-ms N      dump a flight record when one window\n"
-               "                       stalls longer than N ms\n"
-               "                       (default: $CCG_WATCHDOG_MS)\n"
-               "  --threads N          analysis-kernel worker threads (default:\n"
-               "                       $CCG_THREADS, else all hardware threads;\n"
-               "                       output is bit-identical for every N)\n"
-               "  --simd TIER          kernel simd tier auto|scalar|avx2|neon\n"
-               "                       (default: $CCG_SIMD, else auto; output\n"
-               "                       is bit-identical for every tier)\n"
-               "ccgraph --version prints version, build type, sanitizers and\n"
-               "simd capabilities\n");
+               "and the runtime knobs (--threads, --simd, --trace-out,\n"
+               "--ops-port, --flight-dir, --watchdog-ms, --slo-watch, ...),\n"
+               "each also a $CCG_* variable: README.md lists them all, and\n"
+               "ccgraph --version prints the values in effect.\n");
   return 2;
 }
 
@@ -309,6 +247,33 @@ std::optional<std::vector<ConnectionSummary>> collect_records(const std::string&
   } collector;
   if (!ingest_flow_log(path, collector)) return std::nullopt;
   return std::move(collector.records);
+}
+
+/// The graph build config from --facet / --window / --collapse. Every
+/// distributed role and the store must agree on it, and its defaults are
+/// `anomaly`'s, so their windows match a single-process run's.
+GraphBuildConfig graph_config(const Args& args) {
+  return {.facet = args.get_or("facet", "ip") == "ipport" ? GraphFacet::kIpPort
+                                                          : GraphFacet::kIp,
+          .window_minutes = args.get_count("window", 60),
+          .collapse_threshold = args.get_double("collapse", 0.001)};
+}
+
+/// The analytics options of the commands that run the anomaly pipeline:
+/// anomaly, serve/aggregate, trace and store replay must agree for their
+/// reports to match.
+AnalyticsServiceOptions analytics_options(const Args& args,
+                                          const GraphBuildConfig& graph) {
+  AnalyticsServiceOptions options;
+  options.graph = graph;
+  options.training_windows =
+      static_cast<std::size_t>(args.get_count("train", 3));
+  options.spectral.rank = static_cast<std::size_t>(args.get_count("rank", 20));
+  options.incremental = obs::runtime_config().incremental;
+  options.incremental_verify = args.get("incremental-verify").has_value();
+  options.incremental_refine = args.get("incremental-refine").has_value();
+  options.stall_injection_ms = static_cast<int>(args.get_long("stall-ms", 0));
+  return options;
 }
 
 /// Prints window reports the way `anomaly` does — the summary line, up to
@@ -386,31 +351,18 @@ std::string ops_tracez_text() {
   return out;
 }
 
-/// Starts the live ops endpoint when --ops-port (or $CCG_OPS_PORT) is set.
-/// Returns nullptr otherwise; bind failure is fatal for the caller (a
+/// Starts the live ops endpoint when the `ops_port` knob is set. Returns
+/// nullptr otherwise; bind failure throws, failing the command (a
 /// requested-but-dead endpoint is worse than no endpoint). The server
 /// starts *unready* — callers flip /readyz once their pipeline is up.
-std::unique_ptr<net::OpsServer> start_ops_server(const Args& args, int* rc) {
-  std::optional<std::string> port_arg = args.get("ops-port");
-  if (!port_arg) {
-    if (const char* env = std::getenv("CCG_OPS_PORT")) {
-      port_arg = std::string(env);
-    }
-  }
-  if (!port_arg || port_arg->empty()) return nullptr;
-  const long port = std::atol(port_arg->c_str());
-  if (port < 0 || port > 65535) {
-    std::fprintf(stderr, "ccgraph: bad --ops-port '%s'\n", port_arg->c_str());
-    *rc = 2;
-    return nullptr;
-  }
+std::unique_ptr<net::OpsServer> start_ops_server() {
+  const long port = obs::runtime_config().ops_port;
+  if (port < 0) return nullptr;
   auto server = std::make_unique<net::OpsServer>();
   if (!server->start(static_cast<std::uint16_t>(port),
                      {ops_metrics_text, ops_tracez_text})) {
-    std::fprintf(stderr, "ccgraph: cannot bind ops endpoint on port %ld\n",
-                 port);
-    *rc = 1;
-    return nullptr;
+    throw std::runtime_error("cannot bind ops endpoint on port " +
+                             std::to_string(port));
   }
   // Port to stderr: stdout stays byte-identical with the endpoint off.
   std::fprintf(stderr, "ccgraph: ops endpoint on 127.0.0.1:%u\n",
@@ -483,20 +435,15 @@ int cmd_simulate(const Args& args) {
 int cmd_graph(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
-  const GraphFacet facet =
-      args.get_or("facet", "ip") == "ipport" ? GraphFacet::kIpPort : GraphFacet::kIp;
-  const double collapse = args.get_double("collapse", 0.001);
-  const long window = args.get_count("window", 60);
-  const auto streamed = stream_graphs(
-      *in_path,
-      {.facet = facet, .window_minutes = window, .collapse_threshold = collapse});
+  const GraphBuildConfig config = graph_config(args);
+  const auto streamed = stream_graphs(*in_path, config);
   if (!streamed) return 1;
   const std::vector<CommGraph>& graphs = *streamed;
   for (const auto& g : graphs) {
     const GraphMetrics m = compute_metrics(g);
     std::printf("window %s: %s\n", g.window().to_string().c_str(),
                 m.to_string().c_str());
-    if (facet == GraphFacet::kIp && g.node_count() >= 2) {
+    if (config.facet == GraphFacet::kIp && g.node_count() >= 2) {
       std::printf("%s\n", ascii_adjacency(g, 32).c_str());
     }
   }
@@ -680,21 +627,10 @@ int cmd_anomaly(const Args& args) {
   ReportPrinter printer;
   if (!printer.open(args)) return 1;
 
-  int ops_rc = 0;
-  const auto ops = start_ops_server(args, &ops_rc);
-  if (ops_rc != 0) return ops_rc;
+  const auto ops = start_ops_server();
 
-  AnalyticsService service(
-      {.graph = {.facet = GraphFacet::kIp,
-                 .window_minutes = args.get_count("window", 60),
-                 .collapse_threshold = args.get_double("collapse", 0.001)},
-       .training_windows = static_cast<std::size_t>(args.get_count("train", 3)),
-       .spectral = {.rank = static_cast<std::size_t>(args.get_count("rank", 20))},
-       .incremental = args.get("incremental").has_value(),
-       .incremental_verify = args.get("incremental-verify").has_value(),
-       .incremental_refine = args.get("incremental-refine").has_value(),
-       .stall_injection_ms = static_cast<int>(args.get_long("stall-ms", 0))},
-      {}, printer.callback());
+  AnalyticsService service(analytics_options(args, graph_config(args)), {},
+                           printer.callback());
   if (ops) ops->set_ready(true);
   // Each window is reported as soon as its last minute has been read.
   if (!ingest_flow_log(*in_path, service)) return 1;
@@ -707,49 +643,18 @@ int cmd_anomaly(const Args& args) {
 
 // --- distributed commands (docs/DISTRIBUTED.md) ------------------------------
 
-/// The build config every distributed role must agree on. Same defaults as
-/// `anomaly`, so a distributed run diffs cleanly against a single-process
-/// one.
-GraphBuildConfig dist_graph_config(const Args& args) {
-  return {.facet = args.get_or("facet", "ip") == "ipport" ? GraphFacet::kIpPort
-                                                          : GraphFacet::kIp,
-          .window_minutes = args.get_count("window", 60),
-          .collapse_threshold = args.get_double("collapse", 0.001)};
-}
-
-std::string flight_dir_from(const Args& args) {
-  const char* env = std::getenv("CCG_FLIGHT_DIR");
-  return args.get_or("flight-dir", env != nullptr ? env : "");
-}
-
-/// Aggregator-side recv timeout. The silence between handshake and a
-/// window frame covers reading and building one whole window (longer on a
-/// paced FIFO), so the CLI default is far above the library's 30 s.
-/// --net-timeout-ms and CCG_NET_TIMEOUT_MS override.
-int aggregator_timeout_ms(const Args& args) {
-  if (args.get("net-timeout-ms")) {
-    return static_cast<int>(args.get_long("net-timeout-ms", 0));
-  }
-  if (std::getenv("CCG_NET_TIMEOUT_MS") != nullptr) return -1;  // env wins
-  return 300000;
-}
-
 /// Aggregator side shared by `aggregate` and `serve`: handshake the
 /// accepted shard connections, run the barrier merge, and feed each merged
 /// window through an AnalyticsService configured exactly like `anomaly` —
 /// stdout, --summary-out contents and the exit code must be byte-identical
 /// to the single-process command on the same log.
 int run_aggregation(const Args& args, std::vector<net::FrameConn> conns) {
-  const GraphBuildConfig config = dist_graph_config(args);
+  const GraphBuildConfig config = graph_config(args);
   ReportPrinter printer;
   if (!printer.open(args)) return 1;
 
-  AnalyticsService service(
-      {.graph = config,
-       .training_windows = static_cast<std::size_t>(args.get_count("train", 3)),
-       .spectral = {.rank = static_cast<std::size_t>(args.get_count("rank", 20))},
-       .stall_injection_ms = static_cast<int>(args.get_long("stall-ms", 0))},
-      {}, printer.callback());
+  AnalyticsService service(analytics_options(args, config), {},
+                           printer.callback());
 
   std::optional<store::StoreWriter> writer;
   if (const auto store_dir = args.get("store")) {
@@ -764,14 +669,13 @@ int run_aggregation(const Args& args, std::vector<net::FrameConn> conns) {
     service.set_store(&*writer);
   }
 
-  int ops_rc = 0;
-  const auto ops = start_ops_server(args, &ops_rc);
-  if (ops_rc != 0) return ops_rc;
+  const auto ops = start_ops_server();
 
   const std::size_t shard_count = conns.size();
+  const obs::RuntimeConfig& knobs = obs::runtime_config();
   dist::Aggregator aggregator({.graph = config,
-                               .recv_timeout_ms = aggregator_timeout_ms(args),
-                               .flight_dir = flight_dir_from(args)},
+                               .recv_timeout_ms = knobs.aggregator_timeout_ms(),
+                               .flight_dir = knobs.flight_dir},
                               std::move(conns));
   if (!aggregator.handshake()) {
     std::fprintf(stderr, "ccgraph: aggregator handshake failed\n");
@@ -808,7 +712,7 @@ int cmd_shard_worker(const Args& args) {
     std::fprintf(stderr, "ccgraph: --shard must be in [0, --shards)\n");
     return 2;
   }
-  const GraphBuildConfig config = dist_graph_config(args);
+  const GraphBuildConfig config = graph_config(args);
   // Connect first so the aggregator's accept loop completes immediately;
   // its recv timeout then covers the gap to each window frame.
   auto conn = net::connect_loopback(
@@ -858,7 +762,8 @@ int cmd_aggregate(const Args& args) {
   std::fflush(stderr);
   std::vector<net::FrameConn> conns;
   for (long i = 0; i < shard_count; ++i) {
-    auto conn = listener->accept(aggregator_timeout_ms(args));
+    auto conn =
+        listener->accept(obs::runtime_config().aggregator_timeout_ms());
     if (!conn) {
       std::fprintf(stderr, "ccgraph: accept failed (%ld of %ld shards connected)\n",
                    i, shard_count);
@@ -886,9 +791,7 @@ int cmd_serve(const Args& args) {
     return 2;
   }
   // Reject bad flags before any worker is forked.
-  dist_graph_config(args);
-  args.get_count("train", 3);
-  args.get_count("rank", 20);
+  analytics_options(args, graph_config(args));
 
   auto listener = net::Listener::bind_loopback();
   if (!listener) {
@@ -899,7 +802,7 @@ int cmd_serve(const Args& args) {
   // Pre-build every worker's argv before any fork: between fork and execv
   // only async-signal-safe work is allowed, so no allocation there. Flags
   // the user left at defaults are not forwarded — the worker's defaults
-  // are identical by construction (dist_graph_config).
+  // are identical by construction (graph_config).
   std::vector<std::vector<std::string>> worker_cmds(
       static_cast<std::size_t>(shard_count));
   for (long i = 0; i < shard_count; ++i) {
@@ -909,17 +812,25 @@ int cmd_serve(const Args& args) {
            "--connect", std::to_string(listener->port()),
            "--shard",  std::to_string(i),
            "--shards", std::to_string(shard_count)};
-    for (const char* key : {"window", "facet", "collapse", "log-level"}) {
+    for (const char* key : {"window", "facet", "collapse"}) {
       if (const auto v = args.get(key)) {
         cmd.push_back(std::string("--") + key);
         cmd.push_back(*v);
       }
     }
-    // A tracing aggregator wants the shards' spans too: workers buffer
-    // spans in memory (no file of their own — that would race the merged
-    // --trace-out) and ship them in telemetry frames.
-    if (args.get("trace-out") || args.get("trace-buffer")) {
-      cmd.push_back("--trace-buffer");
+    // Workers run with the aggregator's runtime config, minus its
+    // process-local surfaces: the ops port stays with the aggregator, and
+    // a tracing aggregator's workers buffer spans in memory and ship them
+    // in telemetry frames. An empty --trace-out also overrides an
+    // inherited $CCG_TRACE_OUT: a file of their own would race the merged
+    // trace.
+    for (auto& [flag, value] : obs::to_flags(obs::runtime_config())) {
+      if (flag == "--ops-port" || flag == "--trace-out") continue;
+      cmd.push_back(flag);
+      cmd.push_back(value);
+    }
+    if (!obs::runtime_config().trace_out.empty() || args.get("trace-buffer")) {
+      cmd.insert(cmd.end(), {"--trace-buffer", "--trace-out", ""});
     }
   }
   std::vector<std::vector<char*>> worker_argvs;
@@ -950,7 +861,8 @@ int cmd_serve(const Args& args) {
 
   std::vector<net::FrameConn> conns;
   for (long i = 0; i < shard_count; ++i) {
-    auto conn = listener->accept(aggregator_timeout_ms(args));
+    auto conn =
+        listener->accept(obs::runtime_config().aggregator_timeout_ms());
     if (!conn) {
       std::fprintf(stderr, "ccgraph: worker accept failed (%ld of %ld connected)\n",
                    i, shard_count);
@@ -978,10 +890,15 @@ int cmd_report(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
   const double collapse = args.get_double("collapse", 0.001);
-  const auto training_windows = static_cast<std::size_t>(args.get_count("train", 3));
   const GraphBuildConfig config{.facet = GraphFacet::kIp,
                                 .window_minutes = 60,
                                 .collapse_threshold = collapse};
+  // The library's spectral rank, not anomaly's 20: report's own defaults.
+  AnalyticsServiceOptions options;
+  options.graph = config;
+  options.training_windows =
+      static_cast<std::size_t>(args.get_count("train", 3));
+  options.incremental = obs::runtime_config().incremental;
 
   const auto streamed = stream_graphs(*in_path, config);
   if (!streamed) return 1;
@@ -997,7 +914,7 @@ int cmd_report(const Args& args) {
   // finish training, an anomaly verdict per window.
   std::vector<std::string> timeline;
   AnalyticsService service(
-      {.graph = config, .training_windows = training_windows}, {},
+      options, {},
       [&](const WindowReport& report) { timeline.push_back(report.summary()); });
   for (const CommGraph& graph : graphs) service.ingest_window(graph);
 
@@ -1052,13 +969,8 @@ int cmd_trace(const Args& args) {
     obs::TraceRing::global().enable(obs::default_trace_ring_capacity());
   }
 
-  AnalyticsService service(
-      {.graph = {.facet = GraphFacet::kIp,
-                 .window_minutes = args.get_count("window", 60),
-                 .collapse_threshold = args.get_double("collapse", 0.001)},
-       .training_windows = static_cast<std::size_t>(args.get_count("train", 3)),
-       .stall_injection_ms = static_cast<int>(args.get_long("stall-ms", 0))},
-      {}, [](const WindowReport&) {});
+  AnalyticsService service(analytics_options(args, graph_config(args)), {},
+                           [](const WindowReport&) {});
   if (!ingest_flow_log(*in_path, service)) return 1;
   service.flush();
 
@@ -1123,11 +1035,7 @@ int cmd_store_append(const Args& args) {
 
   // Same build configuration defaults as `anomaly`, so a stored log replays
   // into byte-identical windows.
-  const GraphBuildConfig config{
-      .facet = args.get_or("facet", "ip") == "ipport" ? GraphFacet::kIpPort
-                                                      : GraphFacet::kIp,
-      .window_minutes = args.get_count("window", 60),
-      .collapse_threshold = args.get_double("collapse", 0.001)};
+  const GraphBuildConfig config = graph_config(args);
   store::WriterOptions options{
       .keyframe_interval = static_cast<std::size_t>(args.get_long("keyframe", 8)),
       .segment_bytes =
@@ -1208,10 +1116,7 @@ int cmd_store_replay(const Args& args) {
 
   // Same analytics stack as `anomaly`, fed from stored windows instead of a
   // flow log: the two paths must produce identical per-window summaries.
-  AnalyticsService service(
-      {.training_windows = static_cast<std::size_t>(args.get_count("train", 3)),
-       .spectral = {.rank = static_cast<std::size_t>(args.get_count("rank", 20))}},
-      {}, printer.callback());
+  AnalyticsService service(analytics_options(args, {}), {}, printer.callback());
   const std::size_t replayed = service.replay(*reader, from, to);
   std::printf("%zu windows replayed, %zu alerts\n", replayed, printer.alerts());
   return printer.alerts() > 0 ? 3 : 0;
@@ -1328,11 +1233,20 @@ namespace {
 #define CCG_SANITIZE_STRING ""
 #endif
 
+/// Build provenance, then one `name=value (flag|env|default)` line per
+/// knob: the configuration this invocation would run with.
 int print_version() {
   const char* sanitize = CCG_SANITIZE_STRING;
   std::printf("ccgraph %s (%s build, sanitizers: %s)\n", CCG_VERSION_STRING,
               CCG_BUILD_TYPE_STRING, sanitize[0] != '\0' ? sanitize : "none");
   std::printf("simd: %s\n", ccg::simd::capability_string().c_str());
+  const obs::RuntimeConfig& config = obs::runtime_config();
+  for (std::size_t i = 0; i < obs::knobs().size(); ++i) {
+    const obs::Knob& knob = obs::knobs()[i];
+    std::printf("%s=%s (%s)\n", knob.name,
+                obs::value_text(config, knob).c_str(),
+                obs::source_name(config.sources[i]));
+  }
   return 0;
 }
 
@@ -1451,67 +1365,37 @@ int export_metrics(const Args& args) {
 /// --trace-out: dump the span ring as Chrome trace-event JSON. Like metrics,
 /// the file is written even after a failed command — the trace of a failed
 /// run is the interesting one.
-int export_trace(const Args& args) {
-  const auto path = args.get("trace-out");
-  if (!path) return 0;
-  if (!ccg::obs::write_trace_file(*path)) {
-    std::fprintf(stderr, "ccgraph: cannot write %s\n", path->c_str());
+int export_trace() {
+  const std::string& path = ccg::obs::runtime_config().trace_out;
+  if (path.empty()) return 0;
+  if (!ccg::obs::write_trace_file(path)) {
+    std::fprintf(stderr, "ccgraph: cannot write %s\n", path.c_str());
     return 1;
   }
   return 0;
 }
 
-/// Global diagnostics knobs shared by every command; flags override the
-/// CCG_* environment defaults.
-void configure_diagnostics(const Args& args) {
-  if (const auto level = args.get("log-level")) {
-    ccg::obs::set_stderr_level(
-        ccg::obs::parse_level(*level, ccg::obs::LogLevel::kWarn));
+/// Starts the diagnostics every command shares, from the runtime config.
+void configure_diagnostics(const Args& args,
+                           const obs::RuntimeConfig& knobs) {
+  if (!knobs.trace_out.empty() || args.get("trace-buffer")) {
+    obs::TraceRing::global().enable(obs::default_trace_ring_capacity());
   }
-  if (args.get("trace-out") || args.get("trace-buffer")) {
-    ccg::obs::TraceRing::global().enable(
-        ccg::obs::default_trace_ring_capacity());
+  if (!knobs.flight_dir.empty()) obs::install_crash_handler(knobs.flight_dir);
+  const std::string dump_dir =
+      knobs.flight_dir.empty() ? "." : knobs.flight_dir;
+  if (knobs.watchdog_ms > 0) {
+    obs::Watchdog::global().start(std::chrono::milliseconds(knobs.watchdog_ms),
+                                  dump_dir);
   }
-  const char* env_flight = std::getenv("CCG_FLIGHT_DIR");
-  const std::string flight_dir =
-      args.get_or("flight-dir", env_flight != nullptr ? env_flight : "");
-  if (!flight_dir.empty()) ccg::obs::install_crash_handler(flight_dir);
-  long watchdog_ms = args.get_long("watchdog-ms", 0);
-  if (watchdog_ms <= 0) {
-    if (const char* env = std::getenv("CCG_WATCHDOG_MS")) {
-      watchdog_ms = std::atol(env);
-    }
-  }
-  if (watchdog_ms > 0) {
-    ccg::obs::Watchdog::global().start(
-        std::chrono::milliseconds(watchdog_ms),
-        flight_dir.empty() ? "." : flight_dir);
-  }
-
-  // SLO watcher: flag wins, then the CCG_SLO_* env twins.
-  const auto env_long = [](const char* name, long fallback) {
-    const char* v = std::getenv(name);
-    return v != nullptr && *v != '\0' ? std::atol(v) : fallback;
-  };
-  bool slo_watch = args.get("slo-watch").has_value();
-  if (!slo_watch) {
-    const char* env = std::getenv("CCG_SLO_WATCH");
-    slo_watch = env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-  }
-  if (slo_watch) {
-    ccg::obs::SloOptions slo;
-    slo.interval_ms = static_cast<std::uint64_t>(std::max(
-        10L, args.get_long("slo-interval-ms",
-                           env_long("CCG_SLO_INTERVAL_MS", 1000))));
+  if (knobs.slo_watch) {
+    obs::SloOptions slo;
+    slo.interval_ms = static_cast<std::uint64_t>(knobs.slo_interval_ms);
     slo.window_lag_seconds =
-        static_cast<double>(std::max(
-            1L, args.get_long("slo-window-lag-ms",
-                              env_long("CCG_SLO_WINDOW_LAG_MS", 5000)))) *
-        1e-3;
-    slo.burn_intervals = static_cast<std::uint32_t>(std::max(
-        1L, args.get_long("slo-burn", env_long("CCG_SLO_BURN", 3))));
-    slo.flight_dir = flight_dir.empty() ? "." : flight_dir;
-    ccg::obs::SloWatcher::global().start(slo);
+        static_cast<double>(knobs.slo_window_lag_ms) * 1e-3;
+    slo.burn_intervals = static_cast<std::uint32_t>(knobs.slo_burn);
+    slo.flight_dir = dump_dir;
+    obs::SloWatcher::global().start(slo);
   }
 }
 
@@ -1528,35 +1412,28 @@ int main(int argc, char** argv) {
     if (argc < 2) return usage();
   }
   const std::string command = argv[1];
-  if (command == "--version" || command == "version") return print_version();
   // The Args parser skips bare words, so the store subcommand rides along in
   // argv without confusing the flag scan.
   const std::string subcommand =
       argc >= 3 && argv[2][0] != '-' ? argv[2] : std::string();
   const Args args(argc - 2, argv + 2);
   try {
-    // Kernel parallelism is a global knob (shared pool): results are
-    // bit-identical at any setting, only the wall clock changes.
-    if (const long threads = args.get_long("threads", 0); threads > 0) {
-      ccg::parallel::set_thread_count(static_cast<int>(threads));
-    }
-    // So is the simd tier; --simd beats $CCG_SIMD beats auto-detection.
-    if (const auto simd_mode = args.get("simd"); simd_mode && !simd_mode->empty()) {
-      if (!ccg::simd::set_tier(*simd_mode)) {
-        std::fprintf(stderr, "ccgraph: unknown --simd tier '%s'\n",
-                     simd_mode->c_str());
-        return usage();
-      }
-    }
-    configure_diagnostics(args);
+    // Every knob resolves once, flags over the environment, before anything
+    // reads one.
+    const ccg::obs::RuntimeConfig& config = ccg::obs::install_runtime_config(
+        ccg::obs::resolve_config(
+            [&args](const char* flag) { return args.get(flag); },
+            ccg::obs::process_env));
+    if (command == "--version" || command == "version") return print_version();
+    configure_diagnostics(args, config);
     const int rc = profiled ? run_profiled(command, subcommand, args)
                             : dispatch(command, subcommand, args);
     ccg::obs::SloWatcher::global().stop();
     ccg::obs::Watchdog::global().stop();
     const int metrics_rc = export_metrics(args);
-    const int trace_rc = export_trace(args);
+    const int trace_rc = export_trace();
     return rc != 0 ? rc : (metrics_rc != 0 ? metrics_rc : trace_rc);
-  } catch (const FlagError& e) {
+  } catch (const ccg::obs::ConfigError& e) {
     std::fprintf(stderr, "ccgraph: %s\n", e.what());
     ccg::obs::SloWatcher::global().stop();
     ccg::obs::Watchdog::global().stop();
@@ -1568,7 +1445,7 @@ int main(int argc, char** argv) {
     ccg::obs::SloWatcher::global().stop();
     ccg::obs::Watchdog::global().stop();
     export_metrics(args);  // best-effort evidence from the failed run
-    export_trace(args);
+    export_trace();
     return 1;
   }
 }

@@ -53,10 +53,11 @@ endfunction()
 
 run_cli(0 --version)
 
-# Numeric flags parse the whole token and count flags (--window, --train,
-# --rank, --shards, --hours) must be at least 1: a bad value exits 2 with a
-# message naming the flag instead of running with a truncated or wrapped
-# value.
+# Numeric flags parse the whole token, count flags (--window, --train,
+# --rank, --shards, --hours, --threads) must be at least 1, and runtime knob
+# flags (--ops-port, ...) must sit inside their table bounds: a bad value
+# exits 2 with a message naming the flag instead of running with a
+# truncated or wrapped value.
 function(expect_flag_error flag)
   execute_process(COMMAND ${CLI} ${ARGN}
                   WORKING_DIRECTORY ${WORKDIR}
@@ -77,6 +78,7 @@ expect_flag_error(hours simulate --preset tiny --hours 0 --out never.csv)
 expect_flag_error(collapse graph --in clean.csv --collapse 0.1.2)
 expect_flag_error(window store append --in clean.csv --store never_store --window 2m)
 expect_flag_error(threads report --in clean.csv --threads four)
+expect_flag_error(ops-port anomaly --in long.csv --ops-port abc)
 
 # Streaming ingest: the log read through a pipe reports exactly what the
 # file run does; a header-only log and malformed rows keep their messages.
