@@ -42,7 +42,7 @@ struct SimulateOptions {
   ProviderProfile provider = ProviderProfile::azure();
   /// Injectors are installed before minute 0 (caller keeps configuring the
   /// windows). Ownership transfers to the driver.
-  std::vector<Injector*> injectors;
+  std::vector<Injector*> injectors{};
 };
 
 /// Runs the full telemetry path: Cluster -> per-host SmartNIC flow tables

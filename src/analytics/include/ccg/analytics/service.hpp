@@ -45,16 +45,16 @@ struct WindowReport {
 };
 
 struct AnalyticsServiceOptions {
-  GraphBuildConfig graph;  // facet / window length / collapse
+  GraphBuildConfig graph{};  // facet / window length / collapse
   /// Windows used to fit the spectral baseline before scoring starts.
   std::size_t training_windows = 3;
-  SpectralDetectorOptions spectral;
+  SpectralDetectorOptions spectral{};
   /// New-node edges (churn replacements, fresh clients) are suppressed at
   /// the edge level by default — the spectral new-node-bytes signal and
   /// the segment tracker own node arrivals.
   EwmaDetectorOptions edge_detector{.suppress_new_node_edges = true};
   SegmentationMethod segmentation = SegmentationMethod::kJaccardLouvain;
-  SegmentationOptions segmentation_options;
+  SegmentationOptions segmentation_options{};
   /// Patch-driven incremental segmentation (src/incremental): per-window
   /// MinHash/score/Louvain state is maintained from exact graph patches
   /// instead of recomputed. Exact mode — reports stay byte-identical to

@@ -1,10 +1,15 @@
 #include "ccg/dist/aggregator.hpp"
 
+#include <poll.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <limits>
 #include <string>
 #include <utility>
 
+#include "ccg/obs/config.hpp"
 #include "ccg/obs/fleet.hpp"
 #include "ccg/obs/flight.hpp"
 #include "ccg/obs/log.hpp"
@@ -78,82 +83,132 @@ bool Aggregator::handshake() {
 
 bool Aggregator::advance(std::size_t s) {
   ShardState& shard = shards_[s];
-  while (!shard.done && !shard.head) {
-    std::vector<std::uint8_t> payload;
-    const net::RecvStatus status =
-        shard.conn.recv(payload, options_.recv_timeout_ms);
-    if (status != net::RecvStatus::kOk) {
-      // A clean EOF without kEndOfStream is a crashed shard: its final
-      // windows may be missing, so the run cannot be trusted.
-      fail(s,
-           status == net::RecvStatus::kTimeout ? "shard timed out"
-           : status == net::RecvStatus::kEof   ? "shard closed without end-of-stream"
-                                               : "shard stream error",
-           0);
+  const long timeout_ms = options_.recv_timeout_ms >= 0
+                              ? options_.recv_timeout_ms
+                              : obs::runtime_config().net_timeout_ms;
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+  std::vector<pollfd> fds;
+  std::vector<std::size_t> ids;
+  while (!shard.done && shard.pending.empty()) {
+    // Wait on every live shard, not just s: a shard whose frames went
+    // unread would block in send, stop reading its feed, and stall the
+    // feeder that s is waiting on.
+    fds.clear();
+    ids.clear();
+    for (std::size_t t = 0; t < shards_.size(); ++t) {
+      if (shards_[t].done) continue;
+      fds.push_back({shards_[t].conn.fd(), POLLIN, 0});
+      ids.push_back(t);
+    }
+    int wait_ms = -1;  // timeout 0: wait forever
+    if (timeout_ms > 0) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          deadline - Clock::now());
+      wait_ms = static_cast<int>(std::max<std::int64_t>(left.count(), 0));
+    }
+    const int ready = ::poll(fds.data(), fds.size(), wait_ms);
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) {
+      fail(s, ready == 0 ? "shard timed out" : "poll failed", 0);
       return false;
     }
-    m_frames_->add();
-    switch (peek_type(payload).value_or(static_cast<MsgType>(0))) {
-      case MsgType::kWindow: {
-        auto frame = decode_window(payload);
-        if (!frame || frame->shard_id != s) {
-          fail(s, "undecodable window frame", 0);
-          return false;
-        }
-        // The shipped trace id must be the deterministic one — a mismatch
-        // means the processes disagree about window identity.
-        if (frame->trace_id != obs::window_trace_id(frame->window_begin)) {
-          fail(s, "window trace id mismatch", frame->window_begin);
-          return false;
-        }
-        // Windows must arrive in increasing order per shard; the barrier
-        // relies on it.
-        shard.bytes->add(payload.size());
-        shard.head = std::move(*frame);
-        break;
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      if (fds[i].revents == 0) continue;
+      if (!receive(ids[i])) return false;
+      if (ids[i] == s) {
+        deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
       }
-      case MsgType::kEndOfStream: {
-        const auto eos = decode_end_of_stream(payload);
-        if (!eos || eos->shard_id != s || eos->windows != shard.merged) {
-          fail(s, "inconsistent end-of-stream", 0);
-          return false;
-        }
-        shard.records = eos->records;
-        shard.done = true;
-        break;
-      }
-      case MsgType::kTelemetry: {
-        // Out-of-band: merged into the fleet registry and the barrier loop
-        // keeps reading. A malformed frame still fails the run — the
-        // transport is supposed to be clean.
-        auto frame = decode_telemetry(payload);
-        if (!frame || frame->shard_id != s) {
-          fail(s, "undecodable telemetry frame", 0);
-          return false;
-        }
-        obs::FleetRegistry& fleet = obs::FleetRegistry::global();
-        fleet.apply(frame->shard_id, frame->metrics);
-        if (!frame->logs.empty()) {
-          // Shipped records worth mirroring reach this terminal too,
-          // tagged with their shard — through the same threshold and rate
-          // limiter as local records.
-          for (const obs::LogRecord& record : frame->logs) {
-            obs::mirror_shard_record(frame->shard_id, record);
-          }
-          fleet.add_logs(frame->shard_id, frame->logs);
-        }
-        if (!frame->spans.empty()) {
-          fleet.add_spans(frame->shard_id, frame->spans);
-        }
-        m_telemetry_->add();
-        break;
-      }
-      default:
-        fail(s, "unexpected message type", 0);
-        return false;
     }
   }
   return true;
+}
+
+bool Aggregator::receive(std::size_t s) {
+  ShardState& shard = shards_[s];
+  std::vector<std::uint8_t> payload;
+  const net::RecvStatus status =
+      shard.conn.recv(payload, options_.recv_timeout_ms);
+  if (status != net::RecvStatus::kOk) {
+    // A clean EOF without kEndOfStream is a crashed shard: its final
+    // windows may be missing, so the run cannot be trusted.
+    fail(s,
+         status == net::RecvStatus::kTimeout ? "shard timed out"
+         : status == net::RecvStatus::kEof   ? "shard closed without end-of-stream"
+                                             : "shard stream error",
+         0);
+    return false;
+  }
+  m_frames_->add();
+  switch (peek_type(payload).value_or(static_cast<MsgType>(0))) {
+    case MsgType::kWindow: {
+      auto frame = decode_window(payload);
+      if (!frame || frame->shard_id != s) {
+        fail(s, "undecodable window frame", 0);
+        return false;
+      }
+      // The shipped trace id must be the deterministic one — a mismatch
+      // means the processes disagree about window identity.
+      if (frame->trace_id != obs::window_trace_id(frame->window_begin)) {
+        fail(s, "window trace id mismatch", frame->window_begin);
+        return false;
+      }
+      // Windows must arrive in increasing order per shard; the barrier
+      // relies on it.
+      shard.bytes->add(payload.size());
+      shard.pending.push_back(std::move(*frame));
+      ++pending_;
+      m_pending_hwm_->update_max(static_cast<double>(pending_));
+      break;
+    }
+    case MsgType::kEndOfStream: {
+      const auto eos = decode_end_of_stream(payload);
+      if (!eos || eos->shard_id != s ||
+          eos->windows != shard.merged + shard.pending.size()) {
+        fail(s, "inconsistent end-of-stream", 0);
+        return false;
+      }
+      shard.records = eos->records;
+      shard.done = true;
+      break;
+    }
+    case MsgType::kTelemetry: {
+      // Out-of-band: merged into the fleet registry and the barrier loop
+      // keeps reading. A malformed frame still fails the run — the
+      // transport is supposed to be clean.
+      auto frame = decode_telemetry(payload);
+      if (!frame || frame->shard_id != s) {
+        fail(s, "undecodable telemetry frame", 0);
+        return false;
+      }
+      obs::FleetRegistry& fleet = obs::FleetRegistry::global();
+      fleet.apply(frame->shard_id, frame->metrics);
+      if (!frame->logs.empty()) {
+        // Shipped records worth mirroring reach this terminal too,
+        // tagged with their shard — through the same threshold and rate
+        // limiter as local records.
+        for (const obs::LogRecord& record : frame->logs) {
+          obs::mirror_shard_record(frame->shard_id, record);
+        }
+        fleet.add_logs(frame->shard_id, frame->logs);
+      }
+      if (!frame->spans.empty()) {
+        fleet.add_spans(frame->shard_id, frame->spans);
+      }
+      m_telemetry_->add();
+      break;
+    }
+    default:
+      fail(s, "unexpected message type", 0);
+      return false;
+  }
+  return true;
+}
+
+std::vector<net::FrameConn*> Aggregator::connections() {
+  std::vector<net::FrameConn*> conns;
+  for (ShardState& shard : shards_) conns.push_back(&shard.conn);
+  return conns;
 }
 
 std::optional<Aggregator::Result> Aggregator::run(const WindowSink& sink) {
@@ -171,15 +226,12 @@ std::optional<Aggregator::Result> Aggregator::run(const WindowSink& sink) {
     }
 
     std::int64_t window = std::numeric_limits<std::int64_t>::max();
-    std::size_t pending = 0;
     for (const ShardState& shard : shards_) {
-      if (shard.head) {
-        ++pending;
-        window = std::min(window, shard.head->window_begin);
+      if (!shard.pending.empty()) {
+        window = std::min(window, shard.pending.front().window_begin);
       }
     }
-    m_pending_hwm_->update_max(static_cast<double>(pending));
-    if (pending == 0) break;  // every shard done and drained
+    if (pending_ == 0) break;  // every shard done and drained
 
     if (window <= last_window) {
       // Out-of-order shipment breaks the barrier invariant.
@@ -196,19 +248,27 @@ std::optional<Aggregator::Result> Aggregator::run(const WindowSink& sink) {
     // contract (merge_graphs assigns NodeIds in first-seen order, and the
     // canonical pass needs identical inputs to be provably identical).
     std::vector<CommGraph> parts;
+    bool edgeless = true;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       ShardState& shard = shards_[s];
-      if (!shard.head || shard.head->window_begin != window) continue;
-      auto part = store::decode_frame(shard.head->keyframe, CommGraph());
+      if (shard.pending.empty() || shard.pending.front().window_begin != window) {
+        continue;
+      }
+      auto part = store::decode_frame(shard.pending.front().keyframe, CommGraph());
       if (!part || part->window().begin().index() != window) {
         fail(s, "undecodable window keyframe", window);
         return std::nullopt;
       }
       shard.windows->add();
       ++shard.merged;
+      edgeless = edgeless && part->edge_count() == 0;
       parts.push_back(std::move(*part));
-      shard.head.reset();
+      shard.pending.pop_front();
+      --pending_;
     }
+    // Every shard ships every window the minute stream closes; one whose
+    // parts are all empty is a window a single GraphBuilder never emits.
+    if (edgeless) continue;
     const CommGraph merged =
         finalize_window_graph(merge_graphs(parts), options_.graph);
     sink(merged);

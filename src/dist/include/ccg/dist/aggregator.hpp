@@ -7,12 +7,16 @@
 // collapse path, and hands the graph to a sink — which makes a distributed
 // run byte-identical to the single-process one. Shards ship windows in
 // increasing order, so a shard whose head is past W (or which sent
-// end-of-stream) provably has nothing for W; a shard with no records in W
-// simply skips it. A shard that times out or sends garbage is a fail-fast:
-// the aggregator logs, dumps a flight record, and aborts the run.
+// end-of-stream) provably has nothing for W. Every shard ships every
+// window the minute stream closes, an empty keyframe when it had no
+// records there, and a window whose parts are all empty is dropped, as
+// one GraphBuilder would never emit it. A shard that times out or sends
+// garbage is a fail-fast: the aggregator logs, dumps a flight record, and
+// aborts the run.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
@@ -28,12 +32,12 @@ namespace ccg::dist {
 struct AggregatorOptions {
   /// The full job config (facet / window / collapse); shards must announce
   /// an equal config in their handshake.
-  GraphBuildConfig graph;
+  GraphBuildConfig graph{};
   /// Per-recv timeout; -1 uses the `net_timeout_ms` knob. A shard that
   /// stays silent longer than this fails the run.
   int recv_timeout_ms = -1;
   /// Where the shard-failure flight record lands ("" = current directory).
-  std::string flight_dir;
+  std::string flight_dir{};
 };
 
 class Aggregator {
@@ -57,6 +61,11 @@ class Aggregator {
   /// the missing ack as a refusal) and returns false.
   bool handshake();
 
+  /// The shard connections in shard-id order, valid after handshake().
+  /// A RecordRouter sends the feed on them from its own thread while run()
+  /// receives on this one.
+  std::vector<net::FrameConn*> connections();
+
   /// Runs the barrier-per-window merge loop to completion. nullopt on
   /// shard failure (timeout, torn stream, decode failure, trace-id
   /// mismatch) — after logging and dumping a flight record.
@@ -65,7 +74,7 @@ class Aggregator {
  private:
   struct ShardState {
     net::FrameConn conn;
-    std::optional<WindowFrame> head;  // next unmerged window, if known
+    std::deque<WindowFrame> pending;  // received, unmerged windows in order
     bool done = false;                // kEndOfStream received
     std::uint64_t records = 0;        // from kEndOfStream
     std::uint64_t merged = 0;         // windows merged from this shard
@@ -73,18 +82,23 @@ class Aggregator {
     obs::Counter* bytes = nullptr;    // ccg.dist.agg.shard.<id>.bytes
   };
 
-  /// Blocks until shard s has a head window or is done. False = failure.
+  /// Blocks until shard s has a pending window or is done, reading every
+  /// shard that has a frame meanwhile. False = failure.
   bool advance(std::size_t s);
+  /// Reads and handles one frame from shard s. False = failure.
+  bool receive(std::size_t s);
   void fail(std::size_t shard, const char* reason, std::int64_t window_begin);
 
   AggregatorOptions options_;
   std::vector<net::FrameConn> incoming_;  // consumed by handshake()
   std::vector<ShardState> shards_;
+  std::size_t pending_ = 0;  // windows received and not yet merged
 
   obs::Counter* m_windows_merged_ = nullptr;  // ccg.dist.agg.windows_merged
   obs::Counter* m_frames_ = nullptr;          // ccg.dist.agg.frames_received
   obs::Counter* m_telemetry_ = nullptr;       // ccg.dist.agg.telemetry_frames
   obs::Gauge* m_pending_hwm_ = nullptr;  // ccg.dist.agg.queue_depth_hwm
+                                         // (most windows held at once)
   obs::Histogram* m_merge_wait_ = nullptr;  // ccg.dist.agg.merge_wait.seconds
   obs::Histogram* m_merge_ = nullptr;  // ccg.dist.agg.window_merge.seconds
 };

@@ -7,8 +7,12 @@
 // wire version, shard id/count and graph build config in kHello; the
 // aggregator replies kHelloAck only when everything agrees — on mismatch
 // it closes the connection and the shard treats the missing ack as a
-// refusal. Window frames embed the store's keyframe encoding, so the
-// per-window partial graph crosses the wire in canonical node order.
+// refusal. After the handshake the aggregator, the only process that reads
+// the flow log, sends each shard one kRecords frame per minute and a
+// closing kEndOfInput; the shard answers with one kWindow frame per closed
+// window and a closing kEndOfStream. Window frames embed the store's
+// keyframe encoding, so the per-window partial graph crosses the wire in
+// canonical node order.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +24,7 @@
 #include "ccg/obs/log.hpp"
 #include "ccg/obs/metrics.hpp"
 #include "ccg/obs/span.hpp"
+#include "ccg/telemetry/record.hpp"
 
 namespace ccg::dist {
 
@@ -28,7 +33,10 @@ inline constexpr std::uint32_t kMagic = 0x44474343;
 
 /// Bumped on any incompatible wire or semantics change.
 /// v2: adds the out-of-band kTelemetry frame (metrics/log/span shipping).
-inline constexpr std::uint16_t kWireVersion = 2;
+/// v3: the aggregator feeds the shards (kRecords, kEndOfInput), and a shard
+///     ships a window frame for every window the minute stream closes, an
+///     empty keyframe when its partition had no records in it.
+inline constexpr std::uint16_t kWireVersion = 3;
 
 enum class MsgType : std::uint8_t {
   kHello = 1,        // shard -> aggregator: version + shard identity + config
@@ -36,6 +44,8 @@ enum class MsgType : std::uint8_t {
   kWindow = 3,       // shard -> aggregator: one window's partial graph
   kEndOfStream = 4,  // shard -> aggregator: clean shutdown + final counts
   kTelemetry = 5,    // shard -> aggregator: out-of-band observability data
+  kRecords = 6,      // aggregator -> shard: one minute of its partition
+  kEndOfInput = 7,   // aggregator -> shard: the feed is complete
 };
 
 /// The graph-build parameters both sides must agree on for the merge to be
@@ -76,6 +86,19 @@ struct EndOfStream {
   std::uint64_t windows = 0;   // window frames it shipped
 };
 
+/// One minute of flow records routed to one shard. `new_locals` are the
+/// IPs that first appear as a record's local IP in this minute, across the
+/// whole log: every shard gets the same list and learns it before
+/// ingesting, so each one's monitored set is the one a single process
+/// would have. `records` is the shard's partition of the minute, each
+/// stamped with `minute`. A shard with no records still gets the frame;
+/// it is how the shard sees windows close.
+struct RecordsFrame {
+  std::int64_t minute = 0;
+  std::vector<IpAddr> new_locals;
+  std::vector<ConnectionSummary> records;
+};
+
 /// One out-of-band observability shipment from a shard worker: a metrics
 /// *delta* (Registry::snapshot_delta against the last shipped snapshot —
 /// counters and histogram buckets are increments, gauges and histogram
@@ -98,6 +121,16 @@ std::vector<std::uint8_t> encode_hello_ack();
 std::vector<std::uint8_t> encode_window(const WindowFrame& frame);
 std::vector<std::uint8_t> encode_end_of_stream(const EndOfStream& eos);
 std::vector<std::uint8_t> encode_telemetry(const TelemetryFrame& frame);
+std::vector<std::uint8_t> encode_records(const RecordsFrame& frame);
+/// encode_records without a copy: the payload is written into `scratch`,
+/// which only ever grows, and returned as a view of it (valid until the
+/// next call with the same scratch). The records body is encode_binary's.
+std::span<const std::uint8_t> encode_records(
+    std::int64_t minute, std::span<const IpAddr> new_locals,
+    std::span<const ConnectionSummary> records,
+    std::vector<std::uint8_t>& scratch);
+/// `records` is the number of records the shard was sent in all.
+std::vector<std::uint8_t> encode_end_of_input(std::uint64_t records);
 
 /// Message type of a payload (nullopt on empty/unknown).
 std::optional<MsgType> peek_type(std::span<const std::uint8_t> payload);
@@ -109,6 +142,10 @@ std::optional<WindowFrame> decode_window(std::span<const std::uint8_t> payload);
 std::optional<EndOfStream> decode_end_of_stream(
     std::span<const std::uint8_t> payload);
 std::optional<TelemetryFrame> decode_telemetry(
+    std::span<const std::uint8_t> payload);
+/// Also rejects a record whose minute is not the frame's.
+std::optional<RecordsFrame> decode_records(std::span<const std::uint8_t> payload);
+std::optional<std::uint64_t> decode_end_of_input(
     std::span<const std::uint8_t> payload);
 
 }  // namespace ccg::dist

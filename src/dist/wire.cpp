@@ -1,8 +1,11 @@
 #include "ccg/dist/wire.hpp"
 
 #include <bit>
+#include <cstring>
+#include <utility>
 
 #include "ccg/store/format.hpp"
+#include "ccg/telemetry/serialize.hpp"
 
 namespace ccg::dist {
 
@@ -187,8 +190,40 @@ std::vector<std::uint8_t> encode_telemetry(const TelemetryFrame& frame) {
   return out;
 }
 
+std::span<const std::uint8_t> encode_records(
+    std::int64_t minute, std::span<const IpAddr> new_locals,
+    std::span<const ConnectionSummary> records,
+    std::vector<std::uint8_t>& scratch) {
+  std::vector<std::uint8_t> head;
+  head.push_back(static_cast<std::uint8_t>(MsgType::kRecords));
+  put_zigzag(head, minute);
+  put_varint(head, new_locals.size());
+  for (const IpAddr ip : new_locals) put_varint(head, ip.bits());
+  // The body is written in place: growing the scratch zero-fills it, so it
+  // only grows, and every later frame of a run reuses it untouched.
+  const std::size_t bound = head.size() + max_binary_size(records.size());
+  if (scratch.size() < bound) scratch.resize(bound);
+  std::memcpy(scratch.data(), head.data(), head.size());
+  const std::uint8_t* end = encode_binary_to(records, scratch.data() + head.size());
+  return {scratch.data(), static_cast<std::size_t>(end - scratch.data())};
+}
+
+std::vector<std::uint8_t> encode_records(const RecordsFrame& frame) {
+  std::vector<std::uint8_t> scratch;
+  const auto payload =
+      encode_records(frame.minute, frame.new_locals, frame.records, scratch);
+  return {payload.begin(), payload.end()};
+}
+
+std::vector<std::uint8_t> encode_end_of_input(std::uint64_t records) {
+  std::vector<std::uint8_t> out;
+  out.push_back(static_cast<std::uint8_t>(MsgType::kEndOfInput));
+  put_varint(out, records);
+  return out;
+}
+
 std::optional<MsgType> peek_type(std::span<const std::uint8_t> payload) {
-  if (payload.empty() || payload[0] < 1 || payload[0] > 5) return std::nullopt;
+  if (payload.empty() || payload[0] < 1 || payload[0] > 7) return std::nullopt;
   return static_cast<MsgType>(payload[0]);
 }
 
@@ -393,6 +428,43 @@ std::optional<TelemetryFrame> decode_telemetry(
 
   if (!in.done()) return std::nullopt;
   return frame;
+}
+
+std::optional<RecordsFrame> decode_records(std::span<const std::uint8_t> payload) {
+  if (!type_is(payload, MsgType::kRecords)) return std::nullopt;
+  const auto body = payload.subspan(1);
+  store::ByteReader in(body);
+  const auto minute = in.zigzag();
+  const auto n_locals = in.varint();
+  // Each IP takes at least one byte, so the count is bounded by what is left
+  // before anything is reserved.
+  if (!minute || !n_locals || *n_locals > body.size() - in.position()) {
+    return std::nullopt;
+  }
+  RecordsFrame frame;
+  frame.minute = *minute;
+  frame.new_locals.reserve(static_cast<std::size_t>(*n_locals));
+  for (std::uint64_t i = 0; i < *n_locals; ++i) {
+    const auto bits = in.varint();
+    if (!bits || *bits > 0xFFFFFFFFu) return std::nullopt;
+    frame.new_locals.push_back(IpAddr(static_cast<std::uint32_t>(*bits)));
+  }
+  auto records = decode_binary(body.subspan(in.position()));
+  if (!records) return std::nullopt;
+  for (const ConnectionSummary& record : *records) {
+    if (record.time.index() != frame.minute) return std::nullopt;
+  }
+  frame.records = std::move(*records);
+  return frame;
+}
+
+std::optional<std::uint64_t> decode_end_of_input(
+    std::span<const std::uint8_t> payload) {
+  if (!type_is(payload, MsgType::kEndOfInput)) return std::nullopt;
+  store::ByteReader in(payload.subspan(1));
+  const auto records = in.varint();
+  if (!records || !in.done()) return std::nullopt;
+  return *records;
 }
 
 }  // namespace ccg::dist

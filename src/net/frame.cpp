@@ -5,6 +5,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -112,6 +113,10 @@ void FrameConn::close() {
   }
 }
 
+void FrameConn::shutdown(bool both) {
+  if (fd_ >= 0) ::shutdown(fd_, both ? SHUT_RDWR : SHUT_WR);
+}
+
 bool FrameConn::send(std::span<const std::uint8_t> payload) {
   if (!valid()) {
     log_conn_error("net: send on closed connection", peer_, shard_, 0);
@@ -121,24 +126,39 @@ bool FrameConn::send(std::span<const std::uint8_t> payload) {
     log_conn_error("net: send payload exceeds frame cap", peer_, shard_, 0);
     return false;
   }
-  std::vector<std::uint8_t> buf(payload.size() + 8);
-  put_u32le(buf.data(), static_cast<std::uint32_t>(payload.size()));
-  std::memcpy(buf.data() + 4, payload.data(), payload.size());
-  put_u32le(buf.data() + 4 + payload.size(), store::crc32(payload));
-
-  std::size_t sent = 0;
-  while (sent < buf.size()) {
-    const ssize_t n =
-        ::send(fd_, buf.data() + sent, buf.size() - sent, MSG_NOSIGNAL);
+  std::uint8_t header[4];
+  std::uint8_t trailer[4];
+  put_u32le(header, static_cast<std::uint32_t>(payload.size()));
+  put_u32le(trailer, store::crc32(payload));
+  // Gather-write the three parts: the payload is never copied.
+  iovec parts[3] = {
+      {header, sizeof(header)},
+      {const_cast<std::uint8_t*>(payload.data()), payload.size()},
+      {trailer, sizeof(trailer)}};
+  iovec* part = parts;
+  std::size_t left = 3;
+  while (left > 0) {
+    msghdr msg{};
+    msg.msg_iov = part;
+    msg.msg_iovlen = left;
+    ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       log_conn_error("net: send failed", peer_, shard_, errno);
       return false;
     }
-    sent += static_cast<std::size_t>(n);
+    while (left > 0 && static_cast<std::size_t>(n) >= part->iov_len) {
+      n -= static_cast<ssize_t>(part->iov_len);
+      ++part;
+      --left;
+    }
+    if (left > 0) {
+      part->iov_base = static_cast<std::uint8_t*>(part->iov_base) + n;
+      part->iov_len -= static_cast<std::size_t>(n);
+    }
   }
   metrics().frames_sent->add();
-  metrics().bytes_sent->add(buf.size());
+  metrics().bytes_sent->add(payload.size() + 8);
   return true;
 }
 

@@ -54,6 +54,7 @@ class FrameConn {
   int shard() const { return shard_; }
 
   /// Writes one complete frame (handles partial writes). False on error.
+  /// One thread may send while another receives on the same connection.
   bool send(std::span<const std::uint8_t> payload);
 
   /// Reads one complete frame into `payload`. timeout_ms < 0 uses the
@@ -62,6 +63,12 @@ class FrameConn {
   RecvStatus recv(std::vector<std::uint8_t>& payload, int timeout_ms = -1);
 
   void close();
+
+  /// Shuts down the sending side (`both`: the receiving side too) without
+  /// closing the fd, so it is safe while another thread is blocked in
+  /// send or recv on this connection: the peer reads end-of-stream, and a
+  /// blocked local send or recv returns.
+  void shutdown(bool both);
 
  private:
   enum class ReadResult { kOk, kCleanEof, kTornEof, kTimeout, kError };

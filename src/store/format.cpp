@@ -6,16 +6,25 @@ namespace ccg::store {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: tables[0] is the bytewise table of the reflected
+/// IEEE polynomial; tables[k][b] is the CRC of byte b followed by k zero
+/// bytes, so eight input bytes fold into the state with eight lookups.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
 constexpr std::uint64_t zigzag_encode(std::int64_t v) {
@@ -151,11 +160,20 @@ std::optional<EdgeStats> get_stats_delta(ByteReader& in, const EdgeStats& base) 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  static constexpr std::array<std::uint32_t, 256> table = make_crc_table();
+  static constexpr auto t = make_crc_tables();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::uint8_t byte : data) {
-    c = table[(c ^ byte) & 0xFFu] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  // Eight bytes per step, assembled little-endian byte by byte so the
+  // result does not depend on host byte order or alignment.
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+                                  std::uint32_t{p[2]} << 16 |
+                                  std::uint32_t{p[3]} << 24);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -44,6 +44,8 @@ class ByteReader {
   std::optional<std::uint64_t> varint();
   std::optional<std::int64_t> zigzag();
   bool done() const { return pos_ >= data_.size(); }
+  /// Bytes consumed so far.
+  std::size_t position() const { return pos_; }
 
  private:
   std::span<const std::uint8_t> data_;

@@ -37,7 +37,7 @@ struct SpectralDetectorOptions {
   std::size_t rank = 25;  // k: the paper's sweet spot for n > 500
   double zscore_alert = 3.0;
   double new_node_share_alert = 0.02;
-  AdjacencyOptions adjacency;
+  AdjacencyOptions adjacency{};
 };
 
 class SpectralAnomalyDetector {

@@ -11,6 +11,7 @@
 #include <istream>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,11 +39,22 @@ std::vector<ConnectionSummary> read_csv(std::istream& in, std::size_t* dropped =
 /// Compact binary encoding: varint-delta framing. Records are grouped by
 /// minute; within a batch IPs/ports compress well because flows from one
 /// host share the local IP.
-std::vector<std::uint8_t> encode_binary(const std::vector<ConnectionSummary>& batch);
+std::vector<std::uint8_t> encode_binary(std::span<const ConnectionSummary> batch);
+
+/// Most bytes encode_binary can produce for `count` records.
+std::size_t max_binary_size(std::size_t count);
+
+/// encode_binary's bytes written to `out`, which must have room for
+/// max_binary_size(batch.size()) bytes; returns one past the last byte
+/// written. Lets a caller frame the records without an extra copy.
+std::uint8_t* encode_binary_to(std::span<const ConnectionSummary> batch,
+                               std::uint8_t* out);
 
 /// Decodes a buffer produced by encode_binary. Returns nullopt if the
-/// buffer is truncated or corrupt.
+/// buffer is truncated or corrupt. The record count is checked against
+/// the bytes that follow it before anything is reserved, so memory stays
+/// proportional to the input whatever the count field claims.
 std::optional<std::vector<ConnectionSummary>> decode_binary(
-    const std::vector<std::uint8_t>& buffer);
+    std::span<const std::uint8_t> buffer);
 
 }  // namespace ccg

@@ -77,26 +77,38 @@ bool split_row(std::string_view line, std::string_view (&fields)[kCsvFields]) {
   return true;
 }
 
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+/// Longest encoded record: a 10-byte time delta, two 5-byte IPs, two
+/// 3-byte ports, the protocol, four 10-byte counters and the initiator.
+constexpr std::size_t kMaxRecordBytes = 10 + 5 + 3 + 5 + 3 + 1 + 4 * 10 + 1;
+/// Shortest encoded record: eleven one-byte varints.
+constexpr std::size_t kMinRecordBytes = 11;
+constexpr std::size_t kMaxVarintBytes = 10;
+
+std::uint8_t* write_varint(std::uint8_t* p, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    *p++ = static_cast<std::uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  out.push_back(static_cast<std::uint8_t>(v));
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
 }
 
-std::optional<std::uint64_t> get_varint(const std::vector<std::uint8_t>& in,
-                                        std::size_t& pos) {
+/// False when the varint is truncated or longer than ten bytes.
+bool read_varint(const std::uint8_t*& p, const std::uint8_t* end,
+                 std::uint64_t& out) {
   std::uint64_t v = 0;
   int shift = 0;
-  while (pos < in.size()) {
-    const std::uint8_t byte = in[pos++];
+  while (p < end) {
+    const std::uint8_t byte = *p++;
     v |= std::uint64_t{byte & 0x7Fu} << shift;
-    if ((byte & 0x80u) == 0) return v;
+    if ((byte & 0x80u) == 0) {
+      out = v;
+      return true;
+    }
     shift += 7;
-    if (shift > 63) return std::nullopt;  // overlong encoding
+    if (shift > 63) return false;  // overlong encoding
   }
-  return std::nullopt;  // truncated
+  return false;  // truncated
 }
 
 }  // namespace
@@ -205,52 +217,65 @@ std::vector<ConnectionSummary> read_csv(std::istream& in, std::size_t* dropped) 
   return out;
 }
 
-std::vector<std::uint8_t> encode_binary(const std::vector<ConnectionSummary>& batch) {
-  std::vector<std::uint8_t> out;
-  out.reserve(batch.size() * 24 + 16);
-  put_varint(out, batch.size());
+std::size_t max_binary_size(std::size_t count) {
+  return kMaxVarintBytes + count * kMaxRecordBytes;
+}
+
+std::uint8_t* encode_binary_to(std::span<const ConnectionSummary> batch,
+                               std::uint8_t* out) {
+  out = write_varint(out, batch.size());
   std::int64_t prev_time = 0;
   for (const auto& rec : batch) {
     // Zig-zag delta on time: batches are near-sorted by minute.
     const std::int64_t dt = rec.time.index() - prev_time;
     prev_time = rec.time.index();
-    put_varint(out, (static_cast<std::uint64_t>(dt) << 1) ^
-                        static_cast<std::uint64_t>(dt >> 63));
-    put_varint(out, rec.flow.local_ip.bits());
-    put_varint(out, rec.flow.local_port);
-    put_varint(out, rec.flow.remote_ip.bits());
-    put_varint(out, rec.flow.remote_port);
-    put_varint(out, static_cast<std::uint64_t>(rec.flow.protocol));
-    put_varint(out, rec.counters.packets_sent);
-    put_varint(out, rec.counters.packets_rcvd);
-    put_varint(out, rec.counters.bytes_sent);
-    put_varint(out, rec.counters.bytes_rcvd);
-    put_varint(out, static_cast<std::uint64_t>(rec.initiator));
+    out = write_varint(out, (static_cast<std::uint64_t>(dt) << 1) ^
+                                static_cast<std::uint64_t>(dt >> 63));
+    out = write_varint(out, rec.flow.local_ip.bits());
+    out = write_varint(out, rec.flow.local_port);
+    out = write_varint(out, rec.flow.remote_ip.bits());
+    out = write_varint(out, rec.flow.remote_port);
+    out = write_varint(out, static_cast<std::uint64_t>(rec.flow.protocol));
+    out = write_varint(out, rec.counters.packets_sent);
+    out = write_varint(out, rec.counters.packets_rcvd);
+    out = write_varint(out, rec.counters.bytes_sent);
+    out = write_varint(out, rec.counters.bytes_rcvd);
+    out = write_varint(out, static_cast<std::uint64_t>(rec.initiator));
   }
   return out;
 }
 
+std::vector<std::uint8_t> encode_binary(std::span<const ConnectionSummary> batch) {
+  std::vector<std::uint8_t> out(max_binary_size(batch.size()));
+  out.resize(static_cast<std::size_t>(encode_binary_to(batch, out.data()) -
+                                      out.data()));
+  return out;
+}
+
 std::optional<std::vector<ConnectionSummary>> decode_binary(
-    const std::vector<std::uint8_t>& buffer) {
-  std::size_t pos = 0;
-  auto count = get_varint(buffer, pos);
-  if (!count) return std::nullopt;
-  // Reject absurd counts before reserving (corrupt length prefix).
-  if (*count > buffer.size()) return std::nullopt;
+    std::span<const std::uint8_t> buffer) {
+  const std::uint8_t* p = buffer.data();
+  const std::uint8_t* const end = p + buffer.size();
+  std::uint64_t count = 0;
+  if (!read_varint(p, end, count)) return std::nullopt;
+  // A corrupt count must not become an allocation request: every record
+  // takes at least kMinRecordBytes, so the bytes left bound the count.
+  if (count > static_cast<std::uint64_t>(end - p) / kMinRecordBytes) {
+    return std::nullopt;
+  }
 
   std::vector<ConnectionSummary> out;
-  out.reserve(*count);
+  out.reserve(static_cast<std::size_t>(count));
   std::int64_t prev_time = 0;
-  for (std::uint64_t i = 0; i < *count; ++i) {
+  for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t raw[11];
     for (auto& field : raw) {
-      auto v = get_varint(buffer, pos);
-      if (!v) return std::nullopt;
-      field = *v;
+      if (!read_varint(p, end, field)) return std::nullopt;
     }
     const std::int64_t dt =
         static_cast<std::int64_t>(raw[0] >> 1) ^ -static_cast<std::int64_t>(raw[0] & 1);
     prev_time += dt;
+    if (raw[1] > 0xFFFFFFFFu || raw[3] > 0xFFFFFFFFu) return std::nullopt;
     if (raw[2] > 0xFFFF || raw[4] > 0xFFFF) return std::nullopt;
     if (raw[5] != 1 && raw[5] != 6 && raw[5] != 17) return std::nullopt;
     if (raw[10] > 2) return std::nullopt;
@@ -267,7 +292,7 @@ std::optional<std::vector<ConnectionSummary>> decode_binary(
                                     .bytes_rcvd = raw[9]},
         .initiator = static_cast<Initiator>(raw[10])});
   }
-  if (pos != buffer.size()) return std::nullopt;  // trailing garbage
+  if (p != end) return std::nullopt;  // trailing garbage
   return out;
 }
 

@@ -53,8 +53,12 @@ TEST(FeatureRoles, ClientsAreInitiatorsServersAreResponders) {
   for (NodeId i = 0; i < sim.graph.node_count(); ++i) {
     const auto role = sim.cluster.role_of(sim.graph.key(i).ip);
     if (!role) continue;
-    if (*role == "client") EXPECT_GT(base(i, 3), 0.9) << "client initiates";
-    if (*role == "db") EXPECT_GT(base(i, 4), 0.9) << "db only responds";
+    if (*role == "client") {
+      EXPECT_GT(base(i, 3), 0.9) << "client initiates";
+    }
+    if (*role == "db") {
+      EXPECT_GT(base(i, 4), 0.9) << "db only responds";
+    }
   }
 }
 

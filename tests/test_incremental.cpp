@@ -445,7 +445,9 @@ TEST(IncrementalEngine, PcaTracksWithBoundedDivergence) {
     engine.observe(windows[i]);
     const auto& r = engine.last();
     EXPECT_TRUE(r.verified) << "window " << i << ": " << r.verify_error;
-    if (i == 0) EXPECT_EQ(r.pca.full_reason, "first");
+    if (i == 0) {
+      EXPECT_EQ(r.pca.full_reason, "first");
+    }
     if (!r.pca.full_recompute) ++subspace_updates;
   }
   EXPECT_GT(subspace_updates, 0u)

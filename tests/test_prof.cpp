@@ -33,16 +33,15 @@ namespace {
 
 namespace prof = obs::prof;
 
-/// Burns CPU until `seconds` of wall time pass (the work is real, so CPU
-/// time advances roughly in step while spinning).
 /// Publishes a pointer through a volatile global so the optimizer cannot
 /// elide the new/delete pair that produced it (C++14 allocation elision
 /// would otherwise skip the heap hooks entirely).
-void escape_pointer(const void* p) {
-  static const void* volatile sink;
-  sink = p;
-}
+const void* volatile escaped_pointer = nullptr;
 
+void escape_pointer(const void* p) { escaped_pointer = p; }
+
+/// Burns CPU until `seconds` of wall time pass (the work is real, so CPU
+/// time advances roughly in step while spinning).
 void busy_loop(double seconds) {
   const auto until = std::chrono::steady_clock::now() +
                      std::chrono::duration<double>(seconds);

@@ -9,8 +9,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <string>
 
 #include "ccg/analytics/service.hpp"
+#include "ccg/common/rng.hpp"
+#include "ccg/store/format.hpp"
 #include "ccg/graph/delta.hpp"
 #include "ccg/workload/driver.hpp"
 #include "ccg/workload/presets.hpp"
@@ -73,6 +77,47 @@ std::vector<CommGraph> scan_all(const store::StoreReader& reader) {
   auto range = reader.range();
   while (auto g = range.next()) out.push_back(std::move(*g));
   return out;
+}
+
+/// The textbook bytewise CRC-32 (reflected 0xEDB88320), the oracle for
+/// the sliced implementation.
+std::uint32_t bytewise_crc32(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(StoreCrc32, CheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(store::crc32({reinterpret_cast<const std::uint8_t*>(check.data()),
+                          check.size()}),
+            0xCBF43926u);
+  EXPECT_EQ(store::crc32({}), 0u);
+}
+
+TEST(StoreCrc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(77);
+  std::vector<std::uint8_t> bytes(4096 + 16);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform(256));
+  // Every misalignment of the start against every length up to 80 bytes
+  // (all tail lengths of the 8-byte loop), then random long spans.
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 80; ++len) {
+      const auto span = std::span(bytes).subspan(offset, len);
+      ASSERT_EQ(store::crc32(span), bytewise_crc32(span))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t offset = rng.uniform(16);
+    const std::size_t len = rng.uniform(4097);
+    const auto span = std::span(bytes).subspan(offset, len);
+    ASSERT_EQ(store::crc32(span), bytewise_crc32(span))
+        << "offset " << offset << " length " << len;
+  }
 }
 
 TEST(Store, AppendScanRoundTrip) {

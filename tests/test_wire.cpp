@@ -30,7 +30,7 @@ TEST(WireFormat, GoldenHelloBytes) {
   const std::vector<std::uint8_t> golden = {
       0x01,                          // kHello
       0xC3, 0x86, 0x9D, 0xA2, 0x04,  // magic 0x44474343 "CCGD"
-      0x02,                          // version 2 (adds kTelemetry)
+      0x03,                          // version 3 (adds the records feed)
       0x02,                          // shard id 2
       0x04,                          // shard count 4
       0x00,                          // facet kIp
@@ -42,7 +42,7 @@ TEST(WireFormat, GoldenHelloBytes) {
 }
 
 TEST(WireFormat, GoldenAckWindowAndEosBytes) {
-  EXPECT_EQ(encode_hello_ack(), (std::vector<std::uint8_t>{0x02, 0x02}));
+  EXPECT_EQ(encode_hello_ack(), (std::vector<std::uint8_t>{0x02, 0x03}));
 
   WindowFrame frame;
   frame.shard_id = 1;
@@ -319,9 +319,101 @@ TEST(WireTelemetry, MalformedFieldsRejected) {
 
 TEST(WireTelemetry, PeekTypeKnowsTelemetry) {
   const std::vector<std::uint8_t> telemetry = {0x05};
-  const std::vector<std::uint8_t> beyond = {0x06};
+  const std::vector<std::uint8_t> beyond = {0x08};
   EXPECT_EQ(peek_type(telemetry), MsgType::kTelemetry);
   EXPECT_FALSE(peek_type(beyond).has_value());
+}
+
+ConnectionSummary feed_record(std::int64_t minute, std::uint32_t local,
+                              std::uint32_t remote) {
+  return ConnectionSummary{
+      .time = MinuteBucket(minute),
+      .flow = FlowKey{.local_ip = IpAddr(local),
+                      .local_port = 443,
+                      .remote_ip = IpAddr(remote),
+                      .remote_port = 40000,
+                      .protocol = Protocol::kTcp},
+      .counters = TrafficCounters{.packets_sent = 3,
+                                  .packets_rcvd = 2,
+                                  .bytes_sent = 300,
+                                  .bytes_rcvd = 200},
+      .initiator = Initiator::kRemote};
+}
+
+// Layout: u8 type | zigzag minute | varint n_locals | varint ip... |
+// encode_binary(records).
+TEST(WireRecords, GoldenRecordsAndEndOfInputBytes) {
+  RecordsFrame frame;
+  frame.minute = 2;
+  frame.new_locals = {IpAddr(0x0A000001)};
+  frame.records = {feed_record(2, 0x0A000001, 0x0A000002)};
+  const std::vector<std::uint8_t> golden = {
+      0x06,                          // kRecords
+      0x04,                          // minute 2 (zigzag)
+      0x01,                          // one new local IP
+      0x81, 0x80, 0x80, 0x50,        // 10.0.0.1
+      0x01,                          // one record
+      0x04,                          // time delta 2 (zigzag)
+      0x81, 0x80, 0x80, 0x50,        // local 10.0.0.1
+      0xBB, 0x03,                    // local port 443
+      0x82, 0x80, 0x80, 0x50,        // remote 10.0.0.2
+      0xC0, 0xB8, 0x02,              // remote port 40000
+      0x06,                          // TCP
+      0x03, 0x02,                    // packets sent / received
+      0xAC, 0x02, 0xC8, 0x01,        // bytes sent / received
+      0x02,                          // initiator remote
+  };
+  EXPECT_EQ(encode_records(frame), golden);
+  EXPECT_EQ(encode_end_of_input(1000),
+            (std::vector<std::uint8_t>{0x07, 0xE8, 0x07}));
+}
+
+TEST(WireRecords, RoundTripIncludingEmptyPartition) {
+  RecordsFrame frame;
+  frame.minute = -5;  // pre-epoch minutes are legal (zigzag)
+  frame.new_locals = {IpAddr(0x0A000001), IpAddr(0xFFFFFFFF)};
+  for (std::uint32_t i = 0; i < 50; ++i) {
+    frame.records.push_back(feed_record(-5, 0x0A000001 + i, 0x0B000000 + i));
+  }
+  const auto decoded = decode_records(encode_records(frame));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->minute, frame.minute);
+  EXPECT_EQ(decoded->new_locals, frame.new_locals);
+  EXPECT_EQ(decoded->records, frame.records);
+
+  // A shard whose partition is empty still gets the minute.
+  const RecordsFrame empty{.minute = 7, .new_locals = {}, .records = {}};
+  const auto decoded_empty = decode_records(encode_records(empty));
+  ASSERT_TRUE(decoded_empty.has_value());
+  EXPECT_EQ(decoded_empty->minute, 7);
+  EXPECT_TRUE(decoded_empty->new_locals.empty());
+  EXPECT_TRUE(decoded_empty->records.empty());
+
+  const auto count = decode_end_of_input(encode_end_of_input(123456789));
+  ASSERT_TRUE(count.has_value());
+  EXPECT_EQ(*count, 123456789u);
+}
+
+TEST(WireRecords, RecordOfAnotherMinuteIsRejected) {
+  RecordsFrame frame;
+  frame.minute = 3;
+  frame.records = {feed_record(3, 1, 2), feed_record(4, 1, 2)};
+  EXPECT_FALSE(decode_records(encode_records(frame)).has_value());
+}
+
+TEST(WireRecords, ScratchEncodingMatchesAndOnlyGrows) {
+  std::vector<std::uint8_t> scratch;
+  std::vector<ConnectionSummary> records;
+  for (std::uint32_t i = 0; i < 20; ++i) records.push_back(feed_record(9, i + 1, i + 2));
+  const std::vector<IpAddr> locals = {IpAddr(1)};
+  const auto big = encode_records(9, locals, records, scratch);
+  const RecordsFrame frame{.minute = 9, .new_locals = locals, .records = records};
+  EXPECT_EQ(std::vector<std::uint8_t>(big.begin(), big.end()),
+            encode_records(frame));
+  const std::size_t grown = scratch.size();
+  const auto small = encode_records(9, {}, std::span(records).first(1), scratch);
+  EXPECT_EQ(scratch.size(), grown);
+  EXPECT_TRUE(decode_records(small).has_value());
 }
 
 TEST(WireFormat, ConfigEqualityIsExactBits) {

@@ -120,9 +120,15 @@ TEST(Cluster, ServerPortsMatchPattern) {
   cluster.generate_minute(MinuteBucket(0), flows);
   for (const auto& f : flows) {
     const auto server_role = cluster.role_of(f.flow.remote_ip);
-    if (server_role == "web") EXPECT_EQ(f.flow.remote_port, 80);
-    if (server_role == "api") EXPECT_EQ(f.flow.remote_port, 8080);
-    if (server_role == "db") EXPECT_EQ(f.flow.remote_port, 5432);
+    if (server_role == "web") {
+      EXPECT_EQ(f.flow.remote_port, 80);
+    }
+    if (server_role == "api") {
+      EXPECT_EQ(f.flow.remote_port, 8080);
+    }
+    if (server_role == "db") {
+      EXPECT_EQ(f.flow.remote_port, 5432);
+    }
   }
 }
 

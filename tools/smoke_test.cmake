@@ -91,12 +91,13 @@ execute_process(COMMAND sh -c "cat long.csv | '${CLI}' anomaly --in /dev/stdin -
 if(NOT file_rc EQUAL pipe_rc OR NOT file_out STREQUAL pipe_out)
   message(FATAL_ERROR "anomaly over a pipe differs from the file run (rc ${pipe_rc} vs ${file_rc})")
 endif()
-# serve's workers each read the whole log, so a pipe is refused up front.
-execute_process(COMMAND sh -c "cat long.csv | '${CLI}' serve --in /dev/stdin --shards 2"
+# serve's aggregator is the only process that reads the log, so a pipe
+# works there too: the same stdout and exit code as `anomaly` on the file.
+execute_process(COMMAND sh -c "cat long.csv | '${CLI}' serve --in /dev/stdin --shards 2 --train 3 --rank 8"
                 WORKING_DIRECTORY ${WORKDIR}
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 2 OR NOT err MATCHES "serve needs a regular file")
-  message(FATAL_ERROR "serve over a pipe -> rc=${rc}\n${err}")
+                RESULT_VARIABLE serve_rc OUTPUT_VARIABLE serve_out ERROR_VARIABLE err)
+if(NOT serve_rc EQUAL file_rc OR NOT serve_out STREQUAL file_out)
+  message(FATAL_ERROR "serve over a pipe differs from anomaly on the file (rc ${serve_rc} vs ${file_rc})\n${err}")
 endif()
 file(STRINGS ${WORKDIR}/clean.csv clean_header LIMIT_COUNT 1)
 file(WRITE ${WORKDIR}/header_only.csv "${clean_header}\n")
@@ -123,6 +124,30 @@ execute_process(COMMAND ${CLI} anomaly --in out_of_order.csv --window 2 --train 
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 1 OR NOT err MATCHES "flow log line [0-9]+: minute 0 follows minute [1-9]")
   message(FATAL_ERROR "out-of-order minute -> rc=${rc}\n${err}")
+endif()
+
+# report runs the anomaly pipeline with anomaly's options, so its window
+# timeline carries exactly the verdicts `anomaly --window 60` prints. The
+# k8s preset has enough nodes (~375) that a different spectral rank moves
+# the z-scores.
+run_cli(0 simulate --preset k8s --hours 5 --seed 3 --rate-scale 0.05 --out k8s_5h.csv)
+run_cli_rc(timeline_rc anomaly --in k8s_5h.csv --window 60 --summary-out timeline_ref.txt)
+execute_process(COMMAND ${CLI} report --in k8s_5h.csv
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE report_out ERROR_VARIABLE err)
+set(timeline_head "== window timeline ==\n")
+string(FIND "${report_out}" "${timeline_head}" timeline_begin)
+string(FIND "${report_out}" "\n== metrics ==" timeline_end)
+if(NOT rc EQUAL 0 OR timeline_begin LESS 0 OR timeline_end LESS timeline_begin)
+  message(FATAL_ERROR "report on k8s_5h.csv -> rc=${rc}, no window timeline\n${err}")
+endif()
+string(LENGTH "${timeline_head}" timeline_head_len)
+math(EXPR timeline_begin "${timeline_begin} + ${timeline_head_len}")
+math(EXPR timeline_len "${timeline_end} - ${timeline_begin}")
+string(SUBSTRING "${report_out}" ${timeline_begin} ${timeline_len} timeline)
+file(READ ${WORKDIR}/timeline_ref.txt timeline_ref)
+if(NOT timeline STREQUAL timeline_ref)
+  message(FATAL_ERROR "report's window timeline differs from anomaly --window 60:\n${timeline}\nvs\n${timeline_ref}")
 endif()
 
 # Store round-trip over 90 two-minute windows: replaying the snapshot store
