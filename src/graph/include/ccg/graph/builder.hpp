@@ -81,6 +81,13 @@ class GraphBuilder : public TelemetrySink {
   /// never reopened or emitted twice.
   void advance_to(MinuteBucket time);
 
+  /// The open window: the one advance_to last opened, until the batch for
+  /// its last minute, a later minute or flush() closes it. nullopt when
+  /// no window is open.
+  const std::optional<TimeWindow>& current_window() const {
+    return current_window_;
+  }
+
   /// Adds `ip` to the monitored set (see the class comment).
   void learn_local(IpAddr ip);
 

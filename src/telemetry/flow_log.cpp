@@ -1,5 +1,6 @@
 #include "ccg/telemetry/flow_log.hpp"
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -32,13 +33,16 @@ class FlowLogStream {
     m_parse_ = &obs::span_histogram("ccg.ingest.parse");
   }
 
-  std::optional<IngestStats> run(int fd) {
+  std::optional<IngestStats> run(int fd, int stop_fd) {
     std::vector<char> buf;
     std::size_t carry = 0;   // bytes of an unterminated line at buf[0..carry)
     bool skipping = false;   // inside an over-long line, until its '\n'
     for (;;) {
       if (buf.size() < carry + kFlowLogBlockBytes) {
         buf.resize(carry + kFlowLogBlockBytes);
+      }
+      if (stop_fd >= 0 && !wait_readable(fd, stop_fd)) {
+        throw std::runtime_error("flow log read stopped: the run was aborted");
       }
       const ssize_t got = ::read(fd, buf.data() + carry, kFlowLogBlockBytes);
       if (got < 0) {
@@ -98,6 +102,20 @@ class FlowLogStream {
     MinuteBucket time;
     std::vector<ConnectionSummary> records;
   };
+
+  /// Waits until `fd` has data (or EOF, or an error) for read(2) to
+  /// report; false once `stop_fd` is readable or hung up. A poll failure
+  /// other than EINTR falls through to read(2), which then blocks as it
+  /// would without `stop_fd`.
+  static bool wait_readable(int fd, int stop_fd) {
+    pollfd fds[2] = {{fd, POLLIN, 0}, {stop_fd, POLLIN, 0}};
+    for (;;) {
+      const int ready = ::poll(fds, 2, -1);
+      if (ready < 0 && errno == EINTR) continue;
+      if (ready > 0 && fds[1].revents != 0) return false;
+      return true;
+    }
+  }
 
   /// False stops the run: the row's minute precedes the previous row's.
   bool line(std::string_view text) {
@@ -164,8 +182,9 @@ class FlowLogStream {
 
 }  // namespace
 
-std::optional<IngestStats> stream_flow_log(int fd, TelemetrySink& sink) {
-  return FlowLogStream(sink).run(fd);
+std::optional<IngestStats> stream_flow_log(int fd, TelemetrySink& sink,
+                                           int stop_fd) {
+  return FlowLogStream(sink).run(fd, stop_fd);
 }
 
 }  // namespace ccg

@@ -48,6 +48,12 @@ inline constexpr std::size_t kFlowLogMaxLineBytes = std::size_t{1} << 16;
 /// precedes the previous row's throws std::runtime_error naming its line
 /// number, after every minute before it has been delivered; the open
 /// minute is not. Exceptions from the sink propagate. Does not close `fd`.
-std::optional<IngestStats> stream_flow_log(int fd, TelemetrySink& sink);
+///
+/// `stop_fd` >= 0 makes the read cancellable: each read(2) waits on both
+/// descriptors, and once `stop_fd` turns readable (or hangs up) the stream
+/// throws std::runtime_error without delivering the open minute. A reader
+/// blocked on an idle FIFO therefore ends when its consumer gives up.
+std::optional<IngestStats> stream_flow_log(int fd, TelemetrySink& sink,
+                                           int stop_fd = -1);
 
 }  // namespace ccg

@@ -333,6 +333,30 @@ TEST(FlowLogReader, HeaderOnlyLogHasNoRows) {
   EXPECT_TRUE(sink.batches.empty());
 }
 
+TEST(FlowLogReader, StopFdEndsAReadBlockedOnAnIdlePipe) {
+  // Two minutes arrive, then the writer goes quiet without closing: the
+  // reader delivers minute 0 and blocks. Closing the stop pipe's write end
+  // must end the read with an exception, minute 1 (still open) undelivered.
+  const auto records = simulated_records(2);
+  std::string text = csv_header() + "\n";
+  for (const auto& r : records) text += to_csv(r) + "\n";
+  int input[2], stop[2];
+  ASSERT_EQ(::pipe(input), 0);
+  ASSERT_EQ(::pipe(stop), 0);
+  ASSERT_EQ(::write(input[1], text.data(), text.size()),
+            static_cast<ssize_t>(text.size()));
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ::close(stop[1]);
+  });
+  CaptureSink sink;
+  EXPECT_THROW(stream_flow_log(input[0], sink, stop[0]), std::runtime_error);
+  stopper.join();
+  ASSERT_EQ(sink.batches.size(), 1u);
+  EXPECT_EQ(sink.batches[0].first, MinuteBucket(0));
+  for (int fd : {input[0], input[1], stop[0]}) ::close(fd);
+}
+
 TEST(FlowLogReader, CountsMalformedRowsWithTheFirstLineNumber) {
   const auto records = simulated_records(2);
   std::string text = csv_header() + "\n" + to_csv(records[0]) + "\n\nnot,a,row\n";
