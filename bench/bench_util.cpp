@@ -10,7 +10,6 @@
 #include "ccg/obs/export.hpp"
 #include "ccg/obs/heap.hpp"
 #include "ccg/obs/prof_counters.hpp"
-#include "ccg/obs/span.hpp"
 #include "ccg/obs/trace.hpp"
 
 namespace ccg::bench {

@@ -137,16 +137,6 @@ class AnalyticsService : public TelemetrySink {
   std::unique_ptr<incremental::IncrementalEngine> incremental_;
   std::size_t windows_reported_ = 0;
 
-  // Per-window stage latencies in the global registry, registered at
-  // construction so every stage appears in exports even before it first
-  // runs ("ccg.analytics.stage.<stage>.seconds"):
-  obs::Histogram* m_stage_build_ = nullptr;     // graph construction
-  obs::Histogram* m_stage_spectral_ = nullptr;  // PCA subspace scoring
-  obs::Histogram* m_stage_edges_ = nullptr;     // edge localization
-  obs::Histogram* m_stage_tracker_ = nullptr;   // segment tracking
-  obs::Histogram* m_stage_patterns_ = nullptr;  // pattern census
-  obs::Histogram* m_spectral_fit_ = nullptr;    // one-off baseline fit
-  obs::Histogram* m_window_ = nullptr;          // whole-window root span
   obs::Counter* m_windows_ = nullptr;
   obs::Counter* m_training_windows_ = nullptr;
   obs::Counter* m_alerts_ = nullptr;

@@ -6,60 +6,10 @@
 
 #include "ccg/common/expect.hpp"
 #include "ccg/obs/flight.hpp"
-#include "ccg/obs/heap.hpp"
 #include "ccg/obs/slo.hpp"
-#include "ccg/obs/span.hpp"
-#include "ccg/obs/trace.hpp"
+#include "ccg/obs/stage.hpp"
 
 namespace ccg {
-
-namespace {
-
-/// Per-window heap churn histograms for one accounting scope: one record
-/// per window, so `--metrics-out` and the flight dump carry the full
-/// distribution. Byte buckets 1 KiB..~1 TiB, alloc buckets 1..~1e9.
-struct HeapInstruments {
-  obs::Histogram* bytes;
-  obs::Histogram* allocs;
-};
-
-HeapInstruments heap_instruments(const std::string& scope) {
-  obs::Registry& registry = obs::Registry::global();
-  return {&registry.histogram("ccg.prof.heap." + scope + ".bytes",
-                              {.first_bound = 1024.0, .growth = 4.0,
-                               .buckets = 16}),
-          &registry.histogram("ccg.prof.heap." + scope + ".allocs",
-                              {.first_bound = 1.0, .growth = 4.0,
-                               .buckets = 16})};
-}
-
-/// Times a stage span AND attributes its allocations (including those made
-/// by pool workers on the stage's behalf) to per-stage histograms. The
-/// sink records in the destructor body, while the sink scope is still the
-/// innermost — so a nested stage inside the window sink bills both levels.
-class StageMeter {
- public:
-  StageMeter(obs::Histogram& seconds, const char* name,
-             const HeapInstruments& heap) noexcept
-      : heap_(heap),
-        scope_(obs::prof::heap_tracking_available() ? &sink_ : nullptr),
-        span_(seconds, name) {}
-
-  ~StageMeter() {
-    if (!obs::prof::heap_tracking_available()) return;
-    const obs::prof::HeapUsage usage = sink_.usage();
-    heap_.bytes->record(static_cast<double>(usage.bytes));
-    heap_.allocs->record(static_cast<double>(usage.allocs));
-  }
-
- private:
-  HeapInstruments heap_;
-  obs::prof::HeapSink sink_;
-  obs::prof::HeapSinkScope scope_;
-  obs::ScopedSpan span_;
-};
-
-}  // namespace
 
 AnalyticsService::AnalyticsService(AnalyticsServiceOptions options,
                                    std::unordered_set<IpAddr> monitored,
@@ -81,14 +31,11 @@ AnalyticsService::AnalyticsService(AnalyticsServiceOptions options,
     incremental_ =
         std::make_unique<incremental::IncrementalEngine>(std::move(iopts));
   }
+  obs::declare_stages({&obs::stage::kWindow, &obs::stage::kBuild,
+                       &obs::stage::kEdges, &obs::stage::kTracker,
+                       &obs::stage::kPatterns, &obs::stage::kSpectralFit,
+                       &obs::stage::kSpectral});
   obs::Registry& registry = obs::Registry::global();
-  m_stage_build_ = &obs::span_histogram("ccg.analytics.stage.build");
-  m_stage_spectral_ = &obs::span_histogram("ccg.analytics.stage.spectral");
-  m_stage_edges_ = &obs::span_histogram("ccg.analytics.stage.edges");
-  m_stage_tracker_ = &obs::span_histogram("ccg.analytics.stage.tracker");
-  m_stage_patterns_ = &obs::span_histogram("ccg.analytics.stage.patterns");
-  m_spectral_fit_ = &obs::span_histogram("ccg.analytics.spectral_fit");
-  m_window_ = &obs::span_histogram("ccg.analytics.window");
   m_windows_ = &registry.counter("ccg.analytics.windows");
   m_training_windows_ = &registry.counter("ccg.analytics.training_windows");
   m_alerts_ = &registry.counter("ccg.analytics.alerts");
@@ -97,8 +44,7 @@ AnalyticsService::AnalyticsService(AnalyticsServiceOptions options,
 void AnalyticsService::on_batch(MinuteBucket time,
                                 const std::vector<ConnectionSummary>& batch) {
   {
-    static const HeapInstruments heap = heap_instruments("stage.build");
-    StageMeter meter(*m_stage_build_, "ccg.analytics.stage.build", heap);
+    obs::Stage stage(obs::stage::kBuild);
     builder_.on_batch(time, batch);
   }
   drain_closed_windows();
@@ -106,8 +52,7 @@ void AnalyticsService::on_batch(MinuteBucket time,
 
 void AnalyticsService::flush() {
   {
-    static const HeapInstruments heap = heap_instruments("stage.build");
-    StageMeter meter(*m_stage_build_, "ccg.analytics.stage.build", heap);
+    obs::Stage stage(obs::stage::kBuild);
     builder_.flush();
   }
   drain_closed_windows();
@@ -118,29 +63,22 @@ void AnalyticsService::drain_closed_windows() {
 }
 
 void AnalyticsService::ingest_window(const CommGraph& graph) {
-  // The append belongs to the window being closed; deliver() re-installs
-  // the same trace, so live, replayed and distributed runs share one id
-  // per window.
-  obs::TraceScope trace(
-      {obs::window_trace_id(graph.window().begin().index()), 0});
   if (store_ != nullptr) store_->append(graph);
   deliver(graph);
 }
 
 void AnalyticsService::deliver(const CommGraph& graph) {
-  const std::uint64_t trace_id =
-      obs::window_trace_id(graph.window().begin().index());
-  obs::TraceScope trace({trace_id, 0});
-  obs::Watchdog::global().begin_window(trace_id, graph.window().to_string());
+  const std::int64_t begin = graph.window().begin().index();
+  obs::Watchdog::global().begin_window(obs::window_trace_id(begin),
+                                       graph.window().to_string());
   WindowReport report;
   {
-    // Root span of the window's tree: every stage span in analyze() nests
-    // under it, which is what the trace viewer groups by. The window-level
-    // heap sink is the root of the sink chain: stage sinks constructed
-    // inside analyze() chain to it, so `ccg.prof.heap.window.*` carries
-    // the whole window's churn.
-    static const HeapInstruments heap = heap_instruments("window");
-    StageMeter meter(*m_window_, "ccg.analytics.window", heap);
+    // Root span of the window's trace: every stage span in analyze() nests
+    // under it, which is what the trace viewer groups by. Its heap sink is
+    // the root of the sink chain: stage sinks opened inside analyze()
+    // chain to it, so `ccg.prof.heap.window.*` carries the whole window's
+    // churn.
+    obs::Stage stage(obs::stage::kWindow, begin);
     report = analyze(graph);
   }
   obs::Watchdog::global().end_window();
@@ -176,13 +114,11 @@ WindowReport AnalyticsService::analyze(const CommGraph& graph) {
 
   // These run from window one: they carry their own baselines.
   {
-    static const HeapInstruments heap = heap_instruments("stage.edges");
-    StageMeter meter(*m_stage_edges_, "ccg.analytics.stage.edges", heap);
+    obs::Stage stage(obs::stage::kEdges);
     report.anomalous_edges = edge_detector_.observe(graph);
   }
   {
-    static const HeapInstruments heap = heap_instruments("stage.tracker");
-    StageMeter meter(*m_stage_tracker_, "ccg.analytics.stage.tracker", heap);
+    obs::Stage stage(obs::stage::kTracker);
     if (incremental_ != nullptr) {
       // Exact mode hands the tracker a segmentation byte-identical to the
       // auto_segment call it would otherwise make itself.
@@ -193,8 +129,7 @@ WindowReport AnalyticsService::analyze(const CommGraph& graph) {
     }
   }
   {
-    static const HeapInstruments heap = heap_instruments("stage.patterns");
-    StageMeter meter(*m_stage_patterns_, "ccg.analytics.stage.patterns", heap);
+    obs::Stage stage(obs::stage::kPatterns);
     report.patterns = mine_patterns(graph);
   }
 
@@ -206,8 +141,7 @@ WindowReport AnalyticsService::analyze(const CommGraph& graph) {
     if (training_graphs_.size() >= options_.training_windows) {
       training_refs_.clear();
       for (const CommGraph& g : training_graphs_) training_refs_.push_back(&g);
-      static const HeapInstruments heap = heap_instruments("spectral_fit");
-      StageMeter meter(*m_spectral_fit_, "ccg.analytics.spectral_fit", heap);
+      obs::Stage stage(obs::stage::kSpectralFit);
       spectral_.fit(training_refs_);
     }
     report.trained = false;
@@ -216,8 +150,7 @@ WindowReport AnalyticsService::analyze(const CommGraph& graph) {
 
   report.trained = true;
   {
-    static const HeapInstruments heap = heap_instruments("stage.spectral");
-    StageMeter meter(*m_stage_spectral_, "ccg.analytics.stage.spectral", heap);
+    obs::Stage stage(obs::stage::kSpectral);
     report.anomaly = spectral_.score(graph);
     report.alert = spectral_.is_alert(*report.anomaly);
   }

@@ -13,11 +13,23 @@
 #include "ccg/obs/fleet.hpp"
 #include "ccg/obs/flight.hpp"
 #include "ccg/obs/log.hpp"
-#include "ccg/obs/span.hpp"
-#include "ccg/obs/trace.hpp"
+#include "ccg/obs/stage.hpp"
 #include "ccg/store/format.hpp"
 
 namespace ccg::dist {
+
+namespace {
+
+void dump(const std::string& flight_dir, const char* reason,
+          std::uint64_t trace_id, const std::string& label) {
+  const std::string path = obs::dump_flight_record(
+      flight_dir.empty() ? "." : flight_dir, reason, trace_id, label);
+  if (!path.empty()) {
+    obs::log_error("dist: flight record dumped", {obs::field("path", path)});
+  }
+}
+
+}  // namespace
 
 Aggregator::Aggregator(AggregatorOptions options,
                        std::vector<net::FrameConn> conns)
@@ -27,8 +39,7 @@ Aggregator::Aggregator(AggregatorOptions options,
   m_frames_ = &registry.counter("ccg.dist.agg.frames_received");
   m_telemetry_ = &registry.counter("ccg.dist.agg.telemetry_frames");
   m_pending_hwm_ = &registry.gauge("ccg.dist.agg.queue_depth_hwm");
-  m_merge_wait_ = &obs::span_histogram("ccg.dist.agg.merge_wait");
-  m_merge_ = &obs::span_histogram("ccg.dist.agg.window_merge");
+  obs::declare_stages({&obs::stage::kDistMergeWait, &obs::stage::kDistMerge});
 
   shards_.resize(incoming_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -219,7 +230,7 @@ std::optional<Aggregator::Result> Aggregator::run(const WindowSink& sink) {
     // before deciding what to merge. The wait is how long the slowest
     // shard held the merge back, tracked per window.
     {
-      obs::ScopedSpan wait(*m_merge_wait_, "ccg.dist.agg.merge_wait");
+      obs::Stage stage(obs::stage::kDistMergeWait);
       for (std::size_t s = 0; s < shards_.size(); ++s) {
         if (!advance(s)) return std::nullopt;
       }
@@ -240,9 +251,7 @@ std::optional<Aggregator::Result> Aggregator::run(const WindowSink& sink) {
     }
     last_window = window;
 
-    const std::uint64_t trace_id = obs::window_trace_id(window);
-    obs::TraceScope trace({trace_id, 0});
-    obs::ScopedSpan span(*m_merge_, "ccg.dist.agg.window_merge");
+    obs::Stage stage(obs::stage::kDistMerge, window);
 
     // Ascending shard order: merge order is part of the determinism
     // contract (merge_graphs assigns NodeIds in first-seen order, and the
@@ -288,13 +297,18 @@ void Aggregator::fail(std::size_t shard, const char* reason,
                  {obs::field("shard", shard), obs::field("reason", reason),
                   obs::field("window_begin", window_begin),
                   obs::field("trace", trace_id)});
-  const std::string dir = options_.flight_dir.empty() ? "." : options_.flight_dir;
-  const std::string path = obs::dump_flight_record(
-      dir, "shard-failure", trace_id,
-      "shard " + std::to_string(shard) + ": " + reason);
-  if (!path.empty()) {
-    obs::log_error("dist: flight record dumped", {obs::field("path", path)});
-  }
+  // A shard that fails because the feed was cut off is not the cause: the
+  // feed-failure record already names it.
+  if (feed_failed_.load()) return;
+  dump(options_.flight_dir, "shard-failure", trace_id,
+       "shard " + std::to_string(shard) + ": " + reason);
+}
+
+void Aggregator::fail_feed(const std::string& error) {
+  obs::log_error("dist: the feed's input failed — aborting run",
+                 {obs::field("error", error)});
+  feed_failed_.store(true);
+  dump(options_.flight_dir, "feed-failure", 0, error);
 }
 
 }  // namespace ccg::dist

@@ -15,6 +15,7 @@
 // aborts the run.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -71,6 +72,13 @@ class Aggregator {
   /// mismatch) — after logging and dumping a flight record.
   std::optional<Result> run(const WindowSink& sink);
 
+  /// The feed's input failed (an unreadable or empty log, a backwards
+  /// minute): logs `error` and dumps one `feed-failure` flight record
+  /// labelled with it. The shard failures that follow when the feed is cut
+  /// off are then logged without a dump of their own. Callable from the
+  /// feeder thread while run() runs.
+  void fail_feed(const std::string& error);
+
  private:
   struct ShardState {
     net::FrameConn conn;
@@ -99,8 +107,7 @@ class Aggregator {
   obs::Counter* m_telemetry_ = nullptr;       // ccg.dist.agg.telemetry_frames
   obs::Gauge* m_pending_hwm_ = nullptr;  // ccg.dist.agg.queue_depth_hwm
                                          // (most windows held at once)
-  obs::Histogram* m_merge_wait_ = nullptr;  // ccg.dist.agg.merge_wait.seconds
-  obs::Histogram* m_merge_ = nullptr;  // ccg.dist.agg.window_merge.seconds
+  std::atomic<bool> feed_failed_{false};  // set by fail_feed()
 };
 
 }  // namespace ccg::dist

@@ -9,6 +9,7 @@
 // aggregator's own thread runs the barrier merge on the same connections.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -56,6 +57,10 @@ class RecordRouter : public TelemetrySink {
   /// always ends the feeder.
   int stop_fd() const { return stop_read_; }
 
+  /// True once a send failed or abort(true) ran: the feed was cut off by
+  /// its shards or the merge, not by its input. Any thread.
+  bool cut_off() const { return cut_off_.load(); }
+
   /// Records routed so far, over every shard.
   std::uint64_t records() const { return records_; }
 
@@ -68,20 +73,23 @@ class RecordRouter : public TelemetrySink {
   std::vector<IpAddr> new_locals_;  // this minute's first-seen local IPs
   std::vector<std::vector<ConnectionSummary>> parts_;  // per-shard minute
   std::vector<std::uint64_t> sent_;  // records sent to each shard
-  std::vector<std::uint8_t> scratch_;  // frame buffer, reused
+  std::vector<std::vector<std::uint8_t>> scratch_;  // per-shard frame buffer
+  std::vector<std::span<const std::uint8_t>> payloads_;  // views of scratch_
   std::uint64_t records_ = 0;
   int stop_read_ = -1;   // stop_fd()
   int stop_write_ = -1;  // closed by abort(true): stop_read_ hangs up
+  std::atomic<bool> cut_off_{false};
 
   obs::Counter* m_bytes_ = nullptr;   // ccg.dist.route.bytes
-  obs::Histogram* m_route_ = nullptr;  // ccg.dist.route.seconds
 };
 
 /// One parse-once aggregation over handshaken connections: `feed` streams
 /// the input into the router on a feeder thread (returning false, or
 /// throwing, when the input fails) while this thread runs
 /// aggregator.run(sink). A complete feed ends with kEndOfInput; a failed
-/// one is aborted, so the workers and the run fail loudly. A failed merge
+/// one is aborted, so the workers and the run fail loudly; when its input
+/// failed, the aggregator dumps one `feed-failure` flight record labelled
+/// with the feed's exception text. A failed merge
 /// aborts the router, so the feeder cannot stay blocked in send or, if the
 /// feed waits on router.stop_fd(), on input. The
 /// result's record count, summed from the workers' end-of-stream messages,

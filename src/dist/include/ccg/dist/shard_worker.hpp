@@ -102,7 +102,6 @@ class ShardWorker : public TelemetrySink {
   obs::Counter* m_windows_ = nullptr;   // ccg.dist.shard.<id>.windows_shipped
   obs::Counter* m_bytes_ = nullptr;     // ccg.dist.shard.<id>.bytes_shipped
   obs::Counter* m_telemetry_ = nullptr; // ccg.dist.shard.<id>.telemetry_frames
-  obs::Histogram* m_ship_ = nullptr;    // ccg.dist.shard.ship.seconds
 };
 
 }  // namespace ccg::dist

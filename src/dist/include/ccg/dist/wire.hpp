@@ -23,7 +23,7 @@
 #include "ccg/graph/builder.hpp"
 #include "ccg/obs/log.hpp"
 #include "ccg/obs/metrics.hpp"
-#include "ccg/obs/span.hpp"
+#include "ccg/obs/trace.hpp"
 #include "ccg/telemetry/record.hpp"
 
 namespace ccg::dist {

@@ -12,7 +12,7 @@
 
 #include "ccg/dist/wire.hpp"
 #include "ccg/obs/log.hpp"
-#include "ccg/obs/span.hpp"
+#include "ccg/obs/stage.hpp"
 
 namespace ccg::dist {
 
@@ -20,9 +20,11 @@ RecordRouter::RecordRouter(GraphFacet facet, std::vector<net::FrameConn*> shards
     : facet_(facet),
       shards_(std::move(shards)),
       parts_(shards_.size()),
-      sent_(shards_.size(), 0) {
+      sent_(shards_.size(), 0),
+      scratch_(shards_.size()),
+      payloads_(shards_.size()) {
   m_bytes_ = &obs::Registry::global().counter("ccg.dist.route.bytes");
-  m_route_ = &obs::span_histogram("ccg.dist.route");
+  obs::declare_stages({&obs::stage::kDistRoute, &obs::stage::kDistRouteSend});
   int fds[2];
   if (::pipe2(fds, O_CLOEXEC) == 0) {
     stop_read_ = fds[0];
@@ -42,6 +44,7 @@ RecordRouter::~RecordRouter() {
 
 void RecordRouter::send(std::size_t shard, std::span<const std::uint8_t> payload) {
   if (!shards_[shard]->send(payload)) {
+    cut_off_.store(true);
     throw std::runtime_error("feed to shard " + std::to_string(shard) +
                              " failed (the worker or the run is gone)");
   }
@@ -50,22 +53,31 @@ void RecordRouter::send(std::size_t shard, std::span<const std::uint8_t> payload
 
 void RecordRouter::on_batch(MinuteBucket time,
                             const std::vector<ConnectionSummary>& batch) {
-  obs::ScopedSpan span(*m_route_, "ccg.dist.route");
-  new_locals_.clear();
-  for (auto& part : parts_) part.clear();
-  std::optional<IpAddr> last_local;  // skips the lookup for runs of one IP
-  for (const ConnectionSummary& record : batch) {
-    const IpAddr local = record.flow.local_ip;
-    if (last_local != local) {
-      last_local = local;
-      if (seen_locals_.insert(local).second) new_locals_.push_back(local);
+  {
+    // Partition and encode: the routing work. The sends below are timed
+    // apart, since they block while a worker's socket is full.
+    obs::Stage stage(obs::stage::kDistRoute);
+    new_locals_.clear();
+    for (auto& part : parts_) part.clear();
+    std::optional<IpAddr> last_local;  // skips the lookup for runs of one IP
+    for (const ConnectionSummary& record : batch) {
+      const IpAddr local = record.flow.local_ip;
+      if (last_local != local) {
+        last_local = local;
+        if (seen_locals_.insert(local).second) new_locals_.push_back(local);
+      }
+      auto& part = parts_[shard_of_record(record, facet_, shards_.size())];
+      part.push_back(record);
+      part.back().time = time;  // the batch's minute, as GraphBuilder stamps it
     }
-    auto& part = parts_[shard_of_record(record, facet_, shards_.size())];
-    part.push_back(record);
-    part.back().time = time;  // the batch's minute, as GraphBuilder stamps it
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      payloads_[s] =
+          encode_records(time.index(), new_locals_, parts_[s], scratch_[s]);
+    }
   }
+  obs::Stage stage(obs::stage::kDistRouteSend);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    send(s, encode_records(time.index(), new_locals_, parts_[s], scratch_));
+    send(s, payloads_[s]);
     sent_[s] += parts_[s].size();
   }
   records_ += batch.size();
@@ -73,12 +85,16 @@ void RecordRouter::on_batch(MinuteBucket time,
 
 bool RecordRouter::finish() {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!shards_[s]->send(encode_end_of_input(sent_[s]))) return false;
+    if (!shards_[s]->send(encode_end_of_input(sent_[s]))) {
+      cut_off_.store(true);
+      return false;
+    }
   }
   return true;
 }
 
 void RecordRouter::abort(bool both) {
+  if (both) cut_off_.store(true);
   for (net::FrameConn* conn : shards_) conn->shutdown(both);
   if (both && stop_write_ >= 0) {
     ::close(stop_write_);
@@ -103,6 +119,11 @@ std::optional<Aggregator::Result> run_routed(
       obs::log_error("dist: feed stopped early — aborting the run",
                      {obs::field("records_routed", router.records()),
                       obs::field("error", error)});
+      // A feed cut off by a failed send or a failed merge is fallout; only
+      // a failed input is the feed's own fault.
+      if (!router.cut_off()) {
+        aggregator.fail_feed(error.empty() ? "the feed stopped early" : error);
+      }
       router.abort(false);
     }
   });

@@ -6,8 +6,7 @@
 
 #include "ccg/common/expect.hpp"
 #include "ccg/obs/log.hpp"
-#include "ccg/obs/span.hpp"
-#include "ccg/obs/trace.hpp"
+#include "ccg/obs/stage.hpp"
 #include "ccg/store/format.hpp"
 
 namespace ccg::dist {
@@ -39,7 +38,7 @@ ShardWorker::ShardWorker(ShardWorkerOptions options,
   m_windows_ = &registry.counter(prefix + ".windows_shipped");
   m_bytes_ = &registry.counter(prefix + ".bytes_shipped");
   m_telemetry_ = &registry.counter(prefix + ".telemetry_frames");
-  m_ship_ = &obs::span_histogram("ccg.dist.shard.ship");
+  obs::declare_stages({&obs::stage::kDistShip});
 }
 
 bool ShardWorker::handshake() {
@@ -167,8 +166,7 @@ void ShardWorker::ship_window(std::int64_t begin) {
   // The ship span belongs to the window being shipped; the aggregator
   // re-installs the same trace id around its merge, so the distributed
   // window's spans line up across processes.
-  obs::TraceScope trace({frame.trace_id, 0});
-  obs::ScopedSpan span(*m_ship_, "ccg.dist.shard.ship");
+  obs::Stage stage(obs::stage::kDistShip, begin);
   frame.keyframe =
       store::encode_frame(store::FrameKind::kKeyframe, empty_base, graph);
   const std::vector<std::uint8_t> payload = encode_window(frame);

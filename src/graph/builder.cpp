@@ -8,6 +8,7 @@
 #include "ccg/common/expect.hpp"
 #include "ccg/common/flow.hpp"
 #include "ccg/obs/log.hpp"
+#include "ccg/obs/stage.hpp"
 
 namespace ccg {
 
@@ -21,7 +22,7 @@ GraphBuilder::GraphBuilder(GraphBuildConfig config,
   m_windows_ = &registry.counter("ccg.graph.windows");
   m_collapsed_ = &registry.counter("ccg.graph.collapsed_nodes");
   m_late_monitored_ = &registry.counter("ccg.graph.late_monitored");
-  m_finalize_ = &obs::span_histogram("ccg.graph.finalize");
+  obs::declare_stages({&obs::stage::kGraphFinalize});
 }
 
 NodeKey GraphBuilder::node_key(const ConnectionSummary& r, bool local_side,
@@ -144,7 +145,7 @@ std::vector<CommGraph> GraphBuilder::take_graphs() {
 }
 
 void GraphBuilder::finalize_window() {
-  obs::ScopedSpan span(*m_finalize_, "ccg.graph.finalize");
+  obs::Stage stage(obs::stage::kGraphFinalize);
   struct EdgeAgg {
     std::uint64_t bytes_ab, bytes_ba, packets_ab, packets_ba;
     std::uint64_t conn_minutes;

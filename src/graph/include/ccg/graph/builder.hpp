@@ -17,7 +17,6 @@
 
 #include "ccg/graph/comm_graph.hpp"
 #include "ccg/obs/metrics.hpp"
-#include "ccg/obs/span.hpp"
 #include "ccg/telemetry/collector.hpp"
 #include "ccg/telemetry/record.hpp"
 
@@ -171,7 +170,6 @@ class GraphBuilder : public TelemetrySink {
   obs::Counter* m_windows_ = nullptr;
   obs::Counter* m_collapsed_ = nullptr;
   obs::Counter* m_late_monitored_ = nullptr;
-  obs::Histogram* m_finalize_ = nullptr;
 };
 
 /// Merges graphs with disjoint-or-overlapping node sets into one (used by

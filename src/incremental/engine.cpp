@@ -9,7 +9,7 @@
 #include "ccg/common/expect.hpp"
 #include "ccg/linalg/pca.hpp"
 #include "ccg/obs/metrics.hpp"
-#include "ccg/obs/span.hpp"
+#include "ccg/obs/stage.hpp"
 #include "ccg/segmentation/louvain.hpp"
 
 namespace ccg::incremental {
@@ -79,7 +79,7 @@ const WindowResult& IncrementalEngine::observe(const CommGraph& window) {
 
 const WindowResult& IncrementalEngine::observe(const CommGraph& window,
                                                const GraphPatch& patch) {
-  CCG_OBS_SPAN("ccg.incr.window");
+  obs::Stage stage(obs::stage::kIncrWindow);
   auto& reg = obs::Registry::global();
   reg.counter("ccg.incr.windows").add();
 
@@ -145,7 +145,7 @@ const WindowResult& IncrementalEngine::observe(const CommGraph& window,
 
 void IncrementalEngine::update_csr(const CommGraph& window,
                                    const DirtySet& dirty, bool full) {
-  CCG_OBS_SPAN("ccg.incr.stage.csr");
+  obs::Stage stage(obs::stage::kIncrCsr);
   bool patched = false;
   if (!full && dirty.identity_map) {
     patched = csr_.patch_rows(window, dirty.weighted);
@@ -178,7 +178,7 @@ void IncrementalEngine::run_similarity(const CommGraph& window,
   // from their CSR rows, which makes every row bit-identical to a fresh
   // minhash_signatures() call.
   if (scheme == Scheme::kLsh) {
-    CCG_OBS_SPAN("ccg.incr.stage.signatures");
+    obs::Stage stage(obs::stage::kIncrSignatures);
     if (full || sig_.size() != dirty.old_to_new.size() * kSigWidth) {
       sig_ = sim::minhash_signatures(csr_, sopts.use_direction);
       result_.restamped = n;
@@ -225,7 +225,7 @@ void IncrementalEngine::run_similarity(const CommGraph& window,
     std::vector<sim::CandidatePair> to_score;
     std::vector<std::size_t> slots;
     {
-      CCG_OBS_SPAN("ccg.incr.stage.scores");
+      obs::Stage stage(obs::stage::kIncrScores);
       const bool can_carry = !full && scheme_ == Scheme::kExactPairs &&
                              pn >= 2 &&
                              scores_.size() == (pn * (pn - 1)) / 2;
@@ -312,7 +312,7 @@ void IncrementalEngine::run_similarity(const CommGraph& window,
     // so the sorted-join carry is cheap here.
     std::vector<sim::CandidatePair> cand;
     {
-      CCG_OBS_SPAN("ccg.incr.stage.candidates");
+      obs::Stage stage(obs::stage::kIncrCandidates);
       cand = sim::lsh_candidates(csr_, sig_);
     }
 
@@ -324,7 +324,7 @@ void IncrementalEngine::run_similarity(const CommGraph& window,
     std::vector<sim::CandidatePair> to_score;
     std::vector<std::size_t> slots;
     {
-      CCG_OBS_SPAN("ccg.incr.stage.scores");
+      obs::Stage stage(obs::stage::kIncrScores);
       std::vector<std::pair<sim::CandidatePair, double>> carried;
       if (!full && scheme_ == Scheme::kLsh && !candidates_.empty()) {
         carried.reserve(candidates_.size());
@@ -452,7 +452,7 @@ void IncrementalEngine::run_louvain(WeightedGraph objective,
 
 void IncrementalEngine::run_pca(const CommGraph& window,
                                 const DirtySet& dirty) {
-  CCG_OBS_SPAN("ccg.incr.stage.pca");
+  obs::Stage stage(obs::stage::kIncrPca);
   std::vector<NodeKey> dirty_keys;
   dirty_keys.reserve(dirty.weighted.size());
   for (const NodeId t : dirty.weighted) dirty_keys.push_back(window.key(t));
@@ -467,7 +467,7 @@ void IncrementalEngine::run_pca(const CommGraph& window,
 }
 
 void IncrementalEngine::verify(const CommGraph& window) {
-  CCG_OBS_SPAN("ccg.incr.stage.verify");
+  obs::Stage stage(obs::stage::kIncrVerify);
   auto& reg = obs::Registry::global();
   result_.verified = false;
   result_.verify_error.clear();

@@ -9,7 +9,7 @@
 #include "ccg/common/rng.hpp"
 #include "ccg/obs/log.hpp"
 #include "ccg/obs/metrics.hpp"
-#include "ccg/obs/prof_counters.hpp"
+#include "ccg/obs/stage.hpp"
 #include "ccg/parallel/parallel.hpp"
 #include "ccg/simd/simd.hpp"
 
@@ -166,7 +166,7 @@ void combine_rows(const Matrix& w, const Matrix& in, std::size_t rows,
 
 EigenDecomposition jacobi_eigen(const Matrix& input, double tolerance,
                                 int max_sweeps) {
-  obs::prof::KernelCounterScope counters("jacobi_eigen");
+  obs::Stage stage(obs::stage::kJacobiEigen);
   CCG_EXPECT(input.square());
   CCG_EXPECT(input.is_symmetric(1e-6 * (1.0 + input.frobenius())));
   const std::size_t n = input.rows();
@@ -250,8 +250,7 @@ EigenDecomposition jacobi_eigen(const Matrix& input, double tolerance,
 }
 
 EigenDecomposition top_k_eigen(const Matrix& m, std::size_t k) {
-  parallel::ScopedJobTag job_tag("eigen");
-  obs::prof::KernelCounterScope counters("top_k_eigen");
+  obs::Stage stage(obs::stage::kTopKEigen);
   CCG_EXPECT(m.square());
   const std::size_t n = m.rows();
   CCG_EXPECT(k <= n);
@@ -325,8 +324,7 @@ EigenDecomposition top_k_eigen(const Matrix& m, std::size_t k) {
 
 PowerIterationResult power_iteration(const Matrix& m, int max_iterations,
                                      double tolerance) {
-  parallel::ScopedJobTag job_tag("eigen");
-  obs::prof::KernelCounterScope counters("power_iteration");
+  obs::Stage stage(obs::stage::kPowerIteration);
   CCG_EXPECT(m.square());
   const std::size_t n = m.rows();
   PowerIterationResult result;

@@ -6,7 +6,7 @@
 
 #include "ccg/common/expect.hpp"
 #include "ccg/common/rng.hpp"
-#include "ccg/obs/prof_counters.hpp"
+#include "ccg/obs/stage.hpp"
 #include "ccg/parallel/parallel.hpp"
 #include "ccg/simd/simd.hpp"
 
@@ -144,8 +144,7 @@ KMeansResult lloyd_once(const Matrix& data, std::size_t k, Rng& rng,
 }  // namespace
 
 KMeansResult kmeans(const Matrix& data, std::size_t k, KMeansOptions options) {
-  parallel::ScopedJobTag job_tag("kmeans");
-  obs::prof::KernelCounterScope counters("kmeans");
+  obs::Stage stage(obs::stage::kKMeans);
   CCG_EXPECT(data.rows() > 0);
   CCG_EXPECT(k >= 1 && k <= data.rows());
   CCG_EXPECT(options.restarts >= 1);

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "ccg/common/expect.hpp"
-#include "ccg/obs/prof_counters.hpp"
+#include "ccg/obs/stage.hpp"
 #include "ccg/parallel/parallel.hpp"
 #include "ccg/simd/simd.hpp"
 
@@ -13,8 +13,7 @@ PcaSummary::PcaSummary(const Matrix& m)
     : original_(m), eig_(jacobi_eigen(m)), original_abs_sum_(m.abs_sum()) {}
 
 Matrix PcaSummary::reconstruct(std::size_t k) const {
-  parallel::ScopedJobTag job_tag("pca");
-  obs::prof::KernelCounterScope counters("pca_reconstruct");
+  obs::Stage stage(obs::stage::kPcaReconstruct);
   const std::size_t n = dimension();
   CCG_EXPECT(k <= n);
   Matrix out(n, n);
@@ -44,8 +43,7 @@ double PcaSummary::reconstruction_error(std::size_t k) const {
 }
 
 std::vector<double> PcaSummary::error_curve(std::size_t max_k) const {
-  parallel::ScopedJobTag job_tag("pca");
-  obs::prof::KernelCounterScope counters("pca_error_curve");
+  obs::Stage stage(obs::stage::kPcaErrorCurve);
   const std::size_t n = dimension();
   CCG_EXPECT(max_k <= n);
   std::vector<double> errors;

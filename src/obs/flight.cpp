@@ -10,7 +10,7 @@
 #include "ccg/obs/export.hpp"
 #include "ccg/obs/log.hpp"
 #include "ccg/obs/metrics.hpp"
-#include "ccg/obs/span.hpp"
+#include "ccg/obs/trace.hpp"
 
 namespace ccg::obs {
 

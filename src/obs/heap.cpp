@@ -55,12 +55,12 @@ HeapUsage process_heap_freed() noexcept {
 
 HeapSink::HeapSink() : parent_(tls_sink) {}
 
-HeapSinkScope::HeapSinkScope(HeapSink* sink) noexcept
+detail::HeapSinkScope::HeapSinkScope(HeapSink* sink) noexcept
     : previous_(tls_sink), installed_(sink != nullptr) {
   if (installed_) tls_sink = sink;
 }
 
-HeapSinkScope::~HeapSinkScope() {
+detail::HeapSinkScope::~HeapSinkScope() {
   if (installed_) tls_sink = previous_;
 }
 

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "ccg/obs/metrics.hpp"
-#include "ccg/obs/span.hpp"
+#include "ccg/obs/trace.hpp"
 
 namespace ccg::obs {
 

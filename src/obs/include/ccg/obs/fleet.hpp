@@ -25,7 +25,7 @@
 
 #include "ccg/obs/log.hpp"
 #include "ccg/obs/metrics.hpp"
-#include "ccg/obs/span.hpp"
+#include "ccg/obs/trace.hpp"
 
 namespace ccg::obs {
 

@@ -7,14 +7,8 @@
 // that install the submitting thread's sink bill the same chain from any
 // thread. Frees are not tracked per-sink — a sink reports what its scope
 // *allocated* (churn), not live bytes; process totals track both sides.
-//
-//   prof::HeapSink window_sink;               // chains to current (none)
-//   prof::HeapSinkScope ws(&window_sink);
-//   {
-//     prof::HeapSink stage_sink;              // chains to window_sink
-//     prof::HeapSinkScope ss(&stage_sink);
-//     ...                                      // bills stage AND window
-//   }
+// An obs::Stage whose row bills heap installs its own sink for its scope
+// and records the sink's usage into `ccg.prof.heap.<suffix>.*`.
 //
 // Caveats (documented in docs/OBSERVABILITY.md): only operator new/delete
 // traffic is seen (malloc/mmap bypass it); the accounting adds two relaxed
@@ -54,7 +48,7 @@ class HeapSink {
   void add(std::uint64_t bytes) noexcept {
     bytes_.fetch_add(bytes, std::memory_order_relaxed);
     allocs_.fetch_add(1, std::memory_order_relaxed);
-    if (parent_ != nullptr) parent_->add_shallow(bytes);
+    if (parent_ != nullptr) parent_->add(bytes);
   }
 
   HeapUsage usage() const noexcept {
@@ -65,20 +59,17 @@ class HeapSink {
   HeapSink* parent() const noexcept { return parent_; }
 
  private:
-  void add_shallow(std::uint64_t bytes) noexcept {
-    bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    allocs_.fetch_add(1, std::memory_order_relaxed);
-    if (parent_ != nullptr) parent_->add_shallow(bytes);
-  }
-
   std::atomic<std::uint64_t> bytes_{0};
   std::atomic<std::uint64_t> allocs_{0};
   HeapSink* parent_;  // current sink at construction; must outlive this
 };
 
+namespace detail {
+
 /// Installs `sink` as the calling thread's attribution target for the
 /// scope; restores the previous sink on exit. Null sink = no-op scope
 /// (used by pool workers when the submitter had no sink installed).
+/// obs-internal: obs::Stage and obs::Resume install sinks.
 class HeapSinkScope {
  public:
   explicit HeapSinkScope(HeapSink* sink) noexcept;
@@ -91,8 +82,10 @@ class HeapSinkScope {
   bool installed_;
 };
 
-/// The calling thread's installed sink (null when none). Pool::run()
-/// captures this so workers bill the submitter's chain.
+}  // namespace detail
+
+/// The calling thread's installed sink (null when none). Stage::handoff()
+/// captures this so pool workers bill the submitter's chain.
 HeapSink* current_heap_sink() noexcept;
 
 }  // namespace ccg::obs::prof

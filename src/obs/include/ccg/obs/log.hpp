@@ -23,6 +23,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "ccg/obs/ring.hpp"
+
 namespace ccg::obs {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
@@ -67,29 +69,18 @@ struct LogRecord {
 /// Bounded ring of recent log records. Unlike the TraceRing it is always
 /// on (logging is rare; the ring is the crash evidence), with a default
 /// capacity of 1024 records.
-class LogRing {
+class LogRing : public Ring<LogRecord> {
  public:
   static LogRing& global();
 
   /// Resizes the ring (discarding retained records).
-  void set_capacity(std::size_t capacity);
-  std::size_t capacity() const;
-
-  void push(LogRecord record);
+  void set_capacity(std::size_t capacity) { reset(capacity); }
 
   /// Oldest-first copy of the retained records.
-  std::vector<LogRecord> records() const;
-  std::size_t dropped() const;
-  void clear();
+  std::vector<LogRecord> records() const { return items(); }
 
  private:
   LogRing() = default;
-
-  mutable std::mutex mutex_;
-  std::vector<LogRecord> ring_;
-  std::size_t capacity_ = 1024;
-  std::size_t next_ = 0;
-  std::size_t dropped_ = 0;
 };
 
 /// Minimum level mirrored to stderr. Initialized once from the `log_level`

@@ -4,8 +4,8 @@
 // counters say how long a stage took, this says where the CPU actually
 // went. A SIGPROF (CPU time) or SIGALRM (wall time) timer samples the
 // process at a fixed rate; each sample captures the sampled thread's
-// *profiler frame stack* — the stack of open ScopedSpan names plus the
-// thread pool's `ccg.parallel.job.<tag>` frames — and the ambient
+// *profiler frame stack* — the names of its open obs::Stage scopes, pool
+// jobs included (`ccg.parallel.job.<kernel>`) — and the ambient
 // TraceContext's window trace id. Because the frames mirror the span tree,
 // a flamegraph of the folded stacks lines up with `ccgraph trace` output:
 // stage frames nest under `ccg.analytics.window`, kernel/pool frames under
@@ -18,7 +18,7 @@
 //   write(p.folded_text());                        // flamegraph.pl-ready
 //
 // While no profiler runs, the only cost anywhere is one relaxed atomic
-// load per ScopedSpan/pool job (frames_enabled()). The frame stack is
+// load per obs::Stage (frames_enabled()). The frame stack is
 // maintained with plain per-thread writes ordered by release stores, so
 // the signal handler — which always runs on the interrupted thread —
 // reads a consistent prefix without locks or allocation.
@@ -53,7 +53,10 @@ inline bool frames_enabled() noexcept {
 void push_frame(const char* name) noexcept;
 void pop_frame() noexcept;
 
+namespace detail {
+
 /// RAII frame, tolerant of a null name and of the profiler being off.
+/// obs-internal: obs::Stage and obs::Resume push frames.
 class FrameScope {
  public:
   explicit FrameScope(const char* name) noexcept
@@ -69,6 +72,8 @@ class FrameScope {
  private:
   bool pushed_;
 };
+
+}  // namespace detail
 
 struct ProfilerOptions {
   /// Samples per second. A prime default avoids lockstep with periodic

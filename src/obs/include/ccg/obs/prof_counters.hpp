@@ -70,36 +70,24 @@ bool counters_enabled() noexcept;
 /// Current absolute reading at the active tier. Zeros at kNone.
 CounterValues read_counters() noexcept;
 
-/// Delta of the counters across a scope. `max_rss_bytes` is the absolute
-/// peak at close (RSS high-water marks don't subtract meaningfully).
+/// The counters' change since `begin` (a read_counters() value).
+/// `max_rss_bytes` is the absolute peak now (RSS high-water marks don't
+/// subtract meaningfully).
+CounterValues since(const CounterValues& begin) noexcept;
+
+/// Delta of the counters across a scope, into `out`. obs::Stage rows
+/// flagged as kernels accumulate theirs into `ccg.prof.kernel.<name>.*`.
 class CounterScope {
  public:
   explicit CounterScope(CounterValues& out) noexcept
       : out_(out), begin_(read_counters()) {}
   CounterScope(const CounterScope&) = delete;
   CounterScope& operator=(const CounterScope&) = delete;
-  ~CounterScope();
+  ~CounterScope() { out_ = since(begin_); }
 
  private:
   CounterValues& out_;
   CounterValues begin_;
-};
-
-/// Accumulates per-kernel counter deltas into the global Registry as
-/// `ccg.prof.kernel.<name>.{calls,cycles,instructions,cache_misses,
-/// branch_misses,cpu_ns}`. Near-zero cost when enable_counters() was never
-/// called. `name` must be a string literal / stable pointer.
-class KernelCounterScope {
- public:
-  explicit KernelCounterScope(const char* name) noexcept;
-  KernelCounterScope(const KernelCounterScope&) = delete;
-  KernelCounterScope& operator=(const KernelCounterScope&) = delete;
-  ~KernelCounterScope();
-
- private:
-  const char* name_;
-  CounterValues begin_;
-  bool active_;
 };
 
 }  // namespace ccg::obs::prof

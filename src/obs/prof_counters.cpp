@@ -1,11 +1,9 @@
 #include "ccg/obs/prof_counters.hpp"
 
 #include <cstring>
-#include <map>
 #include <mutex>
 
 #include "ccg/obs/config.hpp"
-#include "ccg/obs/metrics.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define CCG_PROF_HAVE_RUSAGE 1
@@ -112,36 +110,6 @@ std::uint64_t sub_sat(std::uint64_t a, std::uint64_t b) noexcept {
   return a > b ? a - b : 0;
 }
 
-/// Registry instruments for one kernel, resolved once and cached (same
-/// pattern as the pool's tag_instruments).
-struct KernelInstruments {
-  Counter* calls;
-  Counter* cycles;
-  Counter* instructions;
-  Counter* cache_misses;
-  Counter* branch_misses;
-  Counter* cpu_ns;
-};
-
-const KernelInstruments& kernel_instruments(const char* name) {
-  static std::mutex mutex;
-  static std::map<std::string, KernelInstruments> cache;
-  std::lock_guard lock(mutex);
-  const auto it = cache.find(name);
-  if (it != cache.end()) return it->second;
-  Registry& reg = Registry::global();
-  const std::string base = std::string("ccg.prof.kernel.") + name;
-  KernelInstruments inst{
-      &reg.counter(base + ".calls"),
-      &reg.counter(base + ".cycles"),
-      &reg.counter(base + ".instructions"),
-      &reg.counter(base + ".cache_misses"),
-      &reg.counter(base + ".branch_misses"),
-      &reg.counter(base + ".cpu_ns"),
-  };
-  return cache.emplace(name, inst).first->second;
-}
-
 }  // namespace
 
 const char* tier_name(CounterTier tier) noexcept {
@@ -195,43 +163,26 @@ CounterValues read_counters() noexcept {
   return v;
 }
 
-CounterScope::~CounterScope() {
+CounterValues since(const CounterValues& begin) noexcept {
   const CounterValues end = read_counters();
-  out_.tier = end.tier;
-  out_.cycles = sub_sat(end.cycles, begin_.cycles);
-  out_.instructions = sub_sat(end.instructions, begin_.instructions);
-  out_.cache_references =
-      sub_sat(end.cache_references, begin_.cache_references);
-  out_.cache_misses = sub_sat(end.cache_misses, begin_.cache_misses);
-  out_.branch_misses = sub_sat(end.branch_misses, begin_.branch_misses);
-  out_.cpu_seconds = end.cpu_seconds - begin_.cpu_seconds;
-  out_.cpu_user_seconds = end.cpu_user_seconds - begin_.cpu_user_seconds;
-  out_.cpu_system_seconds = end.cpu_system_seconds - begin_.cpu_system_seconds;
-  out_.minor_faults = sub_sat(end.minor_faults, begin_.minor_faults);
-  out_.major_faults = sub_sat(end.major_faults, begin_.major_faults);
-  out_.voluntary_ctx_switches =
-      sub_sat(end.voluntary_ctx_switches, begin_.voluntary_ctx_switches);
-  out_.involuntary_ctx_switches =
-      sub_sat(end.involuntary_ctx_switches, begin_.involuntary_ctx_switches);
-  out_.max_rss_bytes = end.max_rss_bytes;
-}
-
-KernelCounterScope::KernelCounterScope(const char* name) noexcept
-    : name_(name), active_(g_enabled) {
-  if (active_) begin_ = read_counters();
-}
-
-KernelCounterScope::~KernelCounterScope() {
-  if (!active_) return;
-  const CounterValues end = read_counters();
-  const KernelInstruments& inst = kernel_instruments(name_);
-  inst.calls->add(1);
-  inst.cycles->add(sub_sat(end.cycles, begin_.cycles));
-  inst.instructions->add(sub_sat(end.instructions, begin_.instructions));
-  inst.cache_misses->add(sub_sat(end.cache_misses, begin_.cache_misses));
-  inst.branch_misses->add(sub_sat(end.branch_misses, begin_.branch_misses));
-  const double cpu = end.cpu_seconds - begin_.cpu_seconds;
-  if (cpu > 0) inst.cpu_ns->add(static_cast<std::uint64_t>(cpu * 1e9));
+  CounterValues d;
+  d.tier = end.tier;
+  d.cycles = sub_sat(end.cycles, begin.cycles);
+  d.instructions = sub_sat(end.instructions, begin.instructions);
+  d.cache_references = sub_sat(end.cache_references, begin.cache_references);
+  d.cache_misses = sub_sat(end.cache_misses, begin.cache_misses);
+  d.branch_misses = sub_sat(end.branch_misses, begin.branch_misses);
+  d.cpu_seconds = end.cpu_seconds - begin.cpu_seconds;
+  d.cpu_user_seconds = end.cpu_user_seconds - begin.cpu_user_seconds;
+  d.cpu_system_seconds = end.cpu_system_seconds - begin.cpu_system_seconds;
+  d.minor_faults = sub_sat(end.minor_faults, begin.minor_faults);
+  d.major_faults = sub_sat(end.major_faults, begin.major_faults);
+  d.voluntary_ctx_switches =
+      sub_sat(end.voluntary_ctx_switches, begin.voluntary_ctx_switches);
+  d.involuntary_ctx_switches =
+      sub_sat(end.involuntary_ctx_switches, begin.involuntary_ctx_switches);
+  d.max_rss_bytes = end.max_rss_bytes;
+  return d;
 }
 
 }  // namespace ccg::obs::prof

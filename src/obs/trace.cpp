@@ -1,6 +1,6 @@
 #include "ccg/obs/trace.hpp"
 
-#include <atomic>
+#include "ccg/obs/config.hpp"
 
 namespace ccg::obs {
 
@@ -23,13 +23,11 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 
 TraceContext current_trace() noexcept { return tls_trace; }
 
-void set_current_trace(TraceContext ctx) noexcept { tls_trace = ctx; }
-
-TraceScope::TraceScope(TraceContext ctx) noexcept : prev_(tls_trace) {
+detail::TraceScope::TraceScope(TraceContext ctx) noexcept : prev_(tls_trace) {
   tls_trace = ctx;
 }
 
-TraceScope::~TraceScope() { tls_trace = prev_; }
+detail::TraceScope::~TraceScope() { tls_trace = prev_; }
 
 std::uint64_t next_span_id() noexcept {
   return g_next_span_id.fetch_add(1, std::memory_order_relaxed);
@@ -38,6 +36,15 @@ std::uint64_t next_span_id() noexcept {
 std::uint64_t window_trace_id(std::int64_t begin_minute) noexcept {
   const std::uint64_t id = mix64(static_cast<std::uint64_t>(begin_minute));
   return id != 0 ? id : 1;
+}
+
+std::size_t default_trace_ring_capacity() {
+  return static_cast<std::size_t>(runtime_config().trace_ring);
+}
+
+TraceRing& TraceRing::global() {
+  static TraceRing* instance = new TraceRing();  // leaked, like the registry
+  return *instance;
 }
 
 }  // namespace ccg::obs

@@ -70,27 +70,6 @@ void parallel_for_worker(
 /// (callers size per-thread scratch arrays with this). At least 1.
 std::size_t max_workers();
 
-/// Names the subsystem on whose behalf pool jobs submitted by this thread
-/// run (thread-local, RAII-nested; innermost wins). Tagged jobs record
-/// into `ccg.parallel.job.<tag>.seconds` alongside the aggregate
-/// `ccg.parallel.job.seconds`, and their trace spans are named
-/// `ccg.parallel.job.<tag>` — pool time becomes attributable instead of
-/// anonymous. `tag` must be a string literal (kept by pointer). Untagged
-/// jobs land under "other".
-class ScopedJobTag {
- public:
-  explicit ScopedJobTag(const char* tag) noexcept;
-  ScopedJobTag(const ScopedJobTag&) = delete;
-  ScopedJobTag& operator=(const ScopedJobTag&) = delete;
-  ~ScopedJobTag();
-
- private:
-  const char* prev_;
-};
-
-/// The innermost active tag on this thread, or nullptr.
-const char* current_job_tag() noexcept;
-
 /// Deterministic chunked reduction: `fill(chunk_partial, begin, end)`
 /// accumulates chunk [begin, end) into its own zero-initialized partial of
 /// type T; partials are merged serially in ascending chunk order via

@@ -6,17 +6,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <map>
 #include <mutex>
-#include <string>
 #include <thread>
 
 #include "ccg/obs/config.hpp"
-#include "ccg/obs/heap.hpp"
 #include "ccg/obs/metrics.hpp"
-#include "ccg/obs/prof.hpp"
-#include "ccg/obs/span.hpp"
-#include "ccg/obs/trace.hpp"
+#include "ccg/obs/stage.hpp"
 
 namespace ccg::parallel {
 
@@ -29,38 +24,11 @@ std::atomic<int> g_override{0};
 /// on the (single, non-reentrant) job slot.
 thread_local bool tls_in_worker = false;
 
-/// Innermost ScopedJobTag on this thread (submitter side).
-thread_local const char* tls_job_tag = nullptr;
-
-/// Per-tag attribution: the interned span name ("ccg.parallel.job.<tag>")
-/// and its latency histogram, registered once per distinct tag and leaked
-/// with the registry so span-name pointers stay valid forever.
-struct TagInstruments {
-  const std::string* span_name;
-  obs::Histogram* seconds;
-};
-
-TagInstruments tag_instruments(const char* tag) {
-  static std::mutex mutex;
-  static auto* by_tag = new std::map<std::string, TagInstruments>();
-  std::lock_guard<std::mutex> lock(mutex);
-  auto [it, inserted] =
-      by_tag->try_emplace(tag != nullptr ? tag : "other", TagInstruments{});
-  if (inserted) {
-    auto* name = new std::string("ccg.parallel.job." + it->first);
-    it->second.span_name = name;
-    it->second.seconds = &obs::span_histogram(*name);
-  }
-  return it->second;
-}
-
 struct Job {
   std::size_t n = 0;
   ChunkLayout layout;
   const std::function<void(std::size_t, std::size_t, std::size_t)>* body = nullptr;
-  obs::TraceContext ctx;  // workers run chunks under the job's span
-  const char* prof_frame = nullptr;       // interned job span name, set while profiling
-  obs::prof::HeapSink* heap_sink = nullptr;  // submitter's sink; workers bill it
+  obs::Handoff handoff;  // workers run chunks under the job's stage
   std::atomic<std::size_t> next_chunk{0};
   std::atomic<std::size_t> done_chunks{0};
   std::atomic<std::uint64_t> busy_workers{0};
@@ -87,25 +55,20 @@ class Pool {
       return;
     }
 
-    // Attribution captured on the submitting thread before the handoff:
-    // which subsystem asked for the work, and which window/span it belongs
-    // to. Workers reinstall the job context so spans opened inside chunk
-    // bodies nest under this job's span.
-    const TagInstruments tag = tag_instruments(tls_job_tag);
-    const obs::TraceContext submit_ctx = obs::current_trace();
-    const bool traced = obs::TraceRing::global().enabled();
-    const std::uint64_t job_span = traced ? obs::next_span_id() : 0;
-
+    // The job is a stage of its own, named after the kernel that asked for
+    // it. Workers resume its handoff, so spans opened inside chunk bodies
+    // nest under the job's span, profiler samples land under its frame and
+    // allocations bill the submitter's heap sink; the submitting thread is
+    // inside the stage already.
     std::unique_lock<std::mutex> submit(submit_mutex_);
     ensure_workers(threads - 1);
+    const obs::Stage stage(obs::job_stage());
 
     Job job;
     job.n = n;
     job.layout = layout;
     job.body = &body;
-    job.ctx = {submit_ctx.trace_id, job_span};
-    if (obs::prof::frames_enabled()) job.prof_frame = tag.span_name->c_str();
-    job.heap_sink = obs::prof::current_heap_sink();
+    job.handoff = stage.handoff();
 
     obs_jobs_->add();
     obs_chunks_->add(layout.count);
@@ -137,28 +100,11 @@ class Pool {
       });
       active_job_ = nullptr;
     }
-    const double seconds =
+    obs_job_seconds_->record(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    obs_job_seconds_->record(seconds);
-    tag.seconds->record(seconds);
+            .count());
     obs_busy_hwm_->update_max(
         static_cast<double>(job.busy_workers.load(std::memory_order_relaxed)));
-    if (traced && obs::TraceRing::global().enabled()) {
-      obs::TraceEvent event;
-      event.name = *tag.span_name;
-      event.start_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              start.time_since_epoch())
-              .count());
-      event.duration_ns = static_cast<std::uint64_t>(seconds * 1e9);
-      event.thread_hash =
-          std::hash<std::thread::id>{}(std::this_thread::get_id());
-      event.trace_id = submit_ctx.trace_id;
-      event.span_id = job_span;
-      event.parent_id = submit_ctx.span_id;
-      obs::TraceRing::global().push(std::move(event));
-    }
     if (job.error) std::rethrow_exception(job.error);
   }
 
@@ -211,6 +157,7 @@ class Pool {
         }
       }
       if (job != nullptr) {
+        const obs::Resume resume(job->handoff);
         work(*job, slot);
         std::lock_guard<std::mutex> lock(mutex_);
         if (--job->refs == 0) done_cv_.notify_all();
@@ -219,14 +166,6 @@ class Pool {
   }
 
   void work(Job& job, std::size_t slot) {
-    // Chunk bodies run under the job's trace context, so any span they
-    // open nests below the ccg.parallel.job.<tag> span — even though this
-    // thread never saw the submitting code. Profiler samples on this
-    // thread likewise land under the job's frame, and allocations bill the
-    // submitter's heap-sink chain.
-    obs::TraceScope trace(job.ctx);
-    obs::prof::FrameScope frame(job.prof_frame);
-    obs::prof::HeapSinkScope heap(job.heap_sink);
     job.busy_workers.fetch_add(1, std::memory_order_relaxed);
     const std::size_t chunks = job.layout.count;
     for (;;) {
@@ -283,14 +222,6 @@ ChunkLayout chunk_layout(std::size_t n, std::size_t min_grain) {
   layout.count = n == 0 ? 0 : (n + layout.grain - 1) / layout.grain;
   return layout;
 }
-
-ScopedJobTag::ScopedJobTag(const char* tag) noexcept : prev_(tls_job_tag) {
-  tls_job_tag = tag;
-}
-
-ScopedJobTag::~ScopedJobTag() { tls_job_tag = prev_; }
-
-const char* current_job_tag() noexcept { return tls_job_tag; }
 
 void parallel_for(std::size_t n, std::size_t min_grain,
                   const std::function<void(std::size_t, std::size_t)>& body) {

@@ -3,7 +3,8 @@
 #include <cmath>
 
 #include "ccg/common/expect.hpp"
-#include "ccg/obs/span.hpp"
+#include "ccg/obs/metrics.hpp"
+#include "ccg/obs/stage.hpp"
 #include "ccg/segmentation/similarity.hpp"
 #include "ccg/segmentation/simrank.hpp"
 
@@ -59,14 +60,14 @@ WeightedGraph volume_weighted(const CommGraph& graph, bool bytes) {
 Segmentation auto_segment(const CommGraph& graph, const CsrAdjacency& csr,
                           SegmentationMethod method,
                           SegmentationOptions options) {
-  CCG_OBS_SPAN("ccg.segment.total");
+  obs::Stage stage(obs::stage::kSegmentTotal);
   obs::Registry::global().counter("ccg.segment.runs").add();
 
   // Phase 1: build the clustering objective (similarity clique or the
   // volume-weighted graph itself). Dominates runtime for similarity methods.
   WeightedGraph objective(0);
   {
-    CCG_OBS_SPAN("ccg.segment.objective");
+    obs::Stage stage(obs::stage::kSegmentObjective);
     switch (method) {
       case SegmentationMethod::kJaccardLouvain:
         objective = similarity_clique(
@@ -98,7 +99,7 @@ Segmentation auto_segment(const CommGraph& graph, const CsrAdjacency& csr,
   // Phase 2: Louvain community detection over the objective.
   LouvainResult lr;
   {
-    CCG_OBS_SPAN("ccg.segment.louvain");
+    obs::Stage stage(obs::stage::kSegmentLouvain);
     lr = louvain_cluster(
         objective,
         {.resolution = options.louvain_resolution, .seed = options.seed});

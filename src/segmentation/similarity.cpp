@@ -7,7 +7,7 @@
 
 #include "ccg/common/expect.hpp"
 #include "ccg/graph/csr.hpp"
-#include "ccg/obs/prof_counters.hpp"
+#include "ccg/obs/stage.hpp"
 #include "ccg/parallel/parallel.hpp"
 #include "ccg/simd/simd.hpp"
 
@@ -277,8 +277,7 @@ double node_similarity(const CommGraph& graph, NodeId a, NodeId b,
 WeightedGraph similarity_clique(const CommGraph& graph,
                                 const CsrAdjacency& csr,
                                 SimilarityOptions options) {
-  parallel::ScopedJobTag job_tag("similarity");
-  obs::prof::KernelCounterScope counters("similarity_clique");
+  obs::Stage stage(obs::stage::kSimilarityClique);
   const std::size_t n = graph.node_count();
   CCG_EXPECT(csr.node_count() == n);
   WeightedGraph clique(n);

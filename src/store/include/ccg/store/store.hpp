@@ -113,7 +113,6 @@ class StoreWriter {
   std::size_t windows_appended_ = 0;
   bool closed_ = false;
 
-  obs::Histogram* m_append_ = nullptr;       // ccg.store.append.seconds
   obs::Counter* m_keyframes_ = nullptr;      // ccg.store.frames.keyframe
   obs::Counter* m_deltas_ = nullptr;         // ccg.store.frames.delta
   obs::Counter* m_bytes_written_ = nullptr;  // ccg.store.bytes_written

@@ -8,7 +8,7 @@
 #include <unordered_map>
 
 #include "ccg/obs/log.hpp"
-#include "ccg/obs/span.hpp"
+#include "ccg/obs/stage.hpp"
 
 namespace fs = std::filesystem;
 
@@ -212,8 +212,8 @@ std::string StoreStats::to_string() const {
 
 StoreWriter::StoreWriter(std::string dir, WriterOptions options)
     : dir_(std::move(dir)), options_(options) {
+  obs::declare_stages({&obs::stage::kStoreAppend});
   obs::Registry& registry = obs::Registry::global();
-  m_append_ = &obs::span_histogram("ccg.store.append");
   m_keyframes_ = &registry.counter("ccg.store.frames.keyframe");
   m_deltas_ = &registry.counter("ccg.store.frames.delta");
   m_bytes_written_ = &registry.counter("ccg.store.bytes_written");
@@ -261,9 +261,10 @@ bool StoreWriter::append(const CommGraph& graph) {
                   {obs::field("window_begin", graph.window().begin().index())});
     return false;
   }
-  obs::ScopedSpan span(*m_append_, "ccg.store.append");
-
   const std::int64_t begin = graph.window().begin().index();
+  // The append belongs to the window being stored: its span roots that
+  // window's trace, which live, replayed and distributed runs share.
+  obs::Stage stage(obs::stage::kStoreAppend, begin);
   if (!entries_.empty() && begin <= entries_.back().window_begin) {
     obs::log_warn("store append rejected: window out of order",
                   {obs::field("window_begin", begin),
@@ -384,15 +385,13 @@ StoreReader::Range StoreReader::range(std::int64_t t0, std::int64_t t1) const {
 }
 
 std::optional<CommGraph> StoreReader::Range::next() {
-  static obs::Histogram& materialize_hist =
-      obs::span_histogram("ccg.store.materialize");
   static obs::Counter& windows_read =
       obs::Registry::global().counter("ccg.store.windows_read");
   static obs::Counter& frame_errors =
       obs::Registry::global().counter("ccg.store.frame_errors");
 
   if (index_ >= end_) return std::nullopt;
-  obs::ScopedSpan span(materialize_hist, "ccg.store.materialize");
+  obs::Stage stage(obs::stage::kStoreMaterialize);
 
   const auto& entries = reader_->entries_;
   // Without a rolling base (first call), restart the delta chain at the
@@ -507,9 +506,7 @@ StoreStats StoreReader::stats() const { return stats_of(dir_, entries_); }
 
 std::optional<StoreStats> compact_store(const std::string& dir,
                                         CompactOptions options) {
-  static obs::Histogram& compact_hist =
-      obs::span_histogram("ccg.store.compact");
-  obs::ScopedSpan span(compact_hist, "ccg.store.compact");
+  obs::Stage stage(obs::stage::kStoreCompact);
 
   auto reader = StoreReader::open(dir);
   if (!reader) return std::nullopt;

@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "ccg/common/expect.hpp"
-#include "ccg/obs/span.hpp"
-#include "ccg/obs/trace.hpp"
+#include "ccg/obs/stage.hpp"
 
 namespace ccg {
 
@@ -37,7 +36,7 @@ TelemetryHub::TelemetryHub(ProviderProfile profile, std::uint64_t seed,
   obs::Registry& registry = obs::Registry::global();
   m_records_ = &registry.counter("ccg.telemetry.records");
   m_batches_ = &registry.counter("ccg.telemetry.batches");
-  m_flush_latency_ = &obs::span_histogram("ccg.telemetry.flush");
+  obs::declare_stages({&obs::stage::kTelemetryFlush});
 }
 
 void TelemetryHub::add_host(IpAddr host_ip) {
@@ -54,14 +53,12 @@ void TelemetryHub::observe(const FlowKey& key, const TrafficCounters& delta,
 }
 
 std::vector<ConnectionSummary> TelemetryHub::end_interval(MinuteBucket now) {
-  // Each interval is the root of that minute's causal chain: the flush
-  // span and everything the sink does with the batch trace back to it.
-  obs::TraceScope trace({obs::window_trace_id(now.index()), 0});
   std::vector<ConnectionSummary> merged;
   {
-    // Spans only the hub's own work (collect + sort), not the sink's
-    // downstream processing — that has its own stage histograms.
-    obs::ScopedSpan flush_span(*m_flush_latency_, "ccg.telemetry.flush");
+    // The flush span is the root of the minute's trace. It spans only the
+    // hub's own work (collect + sort), not the sink's downstream
+    // processing, which the sink's own stages meter.
+    obs::Stage stage(obs::stage::kTelemetryFlush, now.index());
     for (auto& [ip, agent] : agents_) {
       auto batch = agent->collect(now);
       merged.insert(merged.end(), batch.begin(), batch.end());

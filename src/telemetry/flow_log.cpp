@@ -13,7 +13,7 @@
 
 #include "ccg/obs/log.hpp"
 #include "ccg/obs/metrics.hpp"
-#include "ccg/obs/span.hpp"
+#include "ccg/obs/stage.hpp"
 #include "ccg/telemetry/serialize.hpp"
 
 namespace ccg {
@@ -30,7 +30,7 @@ class FlowLogStream {
     m_rows_ = &registry.counter("ccg.ingest.rows");
     m_bytes_ = &registry.counter("ccg.ingest.bytes");
     m_malformed_ = &registry.counter("ccg.ingest.malformed_rows");
-    m_parse_ = &obs::span_histogram("ccg.ingest.parse");
+    obs::declare_stages({&obs::stage::kIngestParse});
   }
 
   std::optional<IngestStats> run(int fd, int stop_fd) {
@@ -58,7 +58,7 @@ class FlowLogStream {
       m_bytes_->add(static_cast<std::uint64_t>(got));
       const IngestStats before = stats_;
       {
-        obs::ScopedSpan span(*m_parse_, "ccg.ingest.parse");
+        obs::Stage stage(obs::stage::kIngestParse);
         const char* p = buf.data();
         const char* const end = p + carry + static_cast<std::size_t>(got);
         while (const void* hit =
@@ -177,7 +177,6 @@ class FlowLogStream {
   obs::Counter* m_rows_ = nullptr;
   obs::Counter* m_bytes_ = nullptr;
   obs::Counter* m_malformed_ = nullptr;
-  obs::Histogram* m_parse_ = nullptr;
 };
 
 }  // namespace

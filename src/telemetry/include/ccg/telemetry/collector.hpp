@@ -103,10 +103,9 @@ class TelemetryHub {
   TelemetrySink* sink_ = nullptr;
   TelemetryLedger ledger_;
   // Global-registry mirrors of the ledger ("ccg.telemetry.*"): records and
-  // batches flushed, plus an end_interval (flush) latency histogram.
+  // batches flushed.
   obs::Counter* m_records_ = nullptr;
   obs::Counter* m_batches_ = nullptr;
-  obs::Histogram* m_flush_latency_ = nullptr;
 };
 
 }  // namespace ccg

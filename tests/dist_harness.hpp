@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <optional>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -111,17 +113,17 @@ inline void shrink_socket_buffers(const net::FrameConn& conn, int bytes) {
 }
 
 /// `ccgraph serve`'s data path in one process: the Aggregator on this
-/// thread, a RecordRouter feeding `minutes` from run_routed's feeder
-/// thread, and `shards` ShardWorkers in their run() role on worker threads,
-/// all learning the monitored set online. `socket_buffer` > 0 shrinks every
-/// socket's buffers to that many bytes. Returns the merged window graphs,
-/// or nullopt if any side failed. `feed_minutes` < minutes.size() stops the
-/// feed early, as a failing input would.
-inline std::optional<std::vector<CommGraph>> run_routed_distributed(
-    const std::vector<std::vector<ConnectionSummary>>& minutes,
+/// thread, a RecordRouter driven by `feed` on run_routed's feeder thread,
+/// and `shards` ShardWorkers in their run() role on worker threads, all
+/// learning the monitored set online. `socket_buffer` > 0 shrinks every
+/// socket's buffers to that many bytes; flight records land in
+/// `flight_dir`. Returns the merged window graphs, or nullopt if any side
+/// failed.
+inline std::optional<std::vector<CommGraph>> run_routed_feed(
+    const std::function<bool(RecordRouter&)>& feed,
     const GraphBuildConfig& config, std::size_t shards,
     Transport transport = Transport::kSocketPair, int socket_buffer = 0,
-    std::size_t feed_minutes = static_cast<std::size_t>(-1)) {
+    const std::string& flight_dir = ::testing::TempDir()) {
   auto pairs = connect_shards(transport, shards);
   if (!pairs) return std::nullopt;
   std::vector<net::FrameConn> agg_side;
@@ -145,20 +147,12 @@ inline std::optional<std::vector<CommGraph>> run_routed_distributed(
   std::vector<CommGraph> merged;
   Aggregator aggregator({.graph = config,
                          .recv_timeout_ms = 10000,
-                         .flight_dir = ::testing::TempDir()},
+                         .flight_dir = flight_dir},
                         std::move(agg_side));
   std::optional<Aggregator::Result> result;
   if (aggregator.handshake()) {
-    result = run_routed(
-        aggregator, config.facet,
-        [&](RecordRouter& router) {
-          for (std::size_t m = 0; m < minutes.size(); ++m) {
-            if (m == feed_minutes) return false;
-            router.on_batch(MinuteBucket(static_cast<std::int64_t>(m)), minutes[m]);
-          }
-          return true;
-        },
-        [&](const CommGraph& graph) { merged.push_back(graph); });
+    result = run_routed(aggregator, config.facet, feed,
+                        [&](const CommGraph& graph) { merged.push_back(graph); });
   }
   for (auto& t : workers) t.join();
   if (!result) return std::nullopt;
@@ -166,6 +160,24 @@ inline std::optional<std::vector<CommGraph>> run_routed_distributed(
     if (worker_rc[s] != 0) return std::nullopt;
   }
   return merged;
+}
+
+/// run_routed_feed over `minutes`, one batch per minute. `feed_minutes` <
+/// minutes.size() stops the feed early, as a failing input would.
+inline std::optional<std::vector<CommGraph>> run_routed_distributed(
+    const std::vector<std::vector<ConnectionSummary>>& minutes,
+    const GraphBuildConfig& config, std::size_t shards,
+    Transport transport = Transport::kSocketPair, int socket_buffer = 0,
+    std::size_t feed_minutes = static_cast<std::size_t>(-1)) {
+  return run_routed_feed(
+      [&](RecordRouter& router) {
+        for (std::size_t m = 0; m < minutes.size(); ++m) {
+          if (m == feed_minutes) return false;
+          router.on_batch(MinuteBucket(static_cast<std::int64_t>(m)), minutes[m]);
+        }
+        return true;
+      },
+      config, shards, transport, socket_buffer);
 }
 
 }  // namespace ccg::dist

@@ -13,7 +13,11 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <future>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <ostream>
@@ -251,6 +255,65 @@ TEST(DistributedCollectorRouted, FeedStoppingEarlyFailsTheRun) {
   EXPECT_FALSE(run_routed_distributed(minutes, config, 3, Transport::kSocketPair,
                                       0, 30)
                    .has_value());
+}
+
+TEST(DistributedCollectorRouted, RouteAndSendAreTimedOncePerMinute) {
+  // Partition + encode and the blocking send loop are separate stages, so
+  // a feeder waiting on a full worker socket is not billed as routing.
+  const GraphBuildConfig config{.facet = GraphFacet::kIp, .window_minutes = 10};
+  Rng rng(21);
+  std::vector<std::vector<ConnectionSummary>> minutes;
+  for (std::int64_t m = 0; m < 40; ++m) minutes.push_back(random_minute(m, 50, rng));
+  obs::Registry& registry = obs::Registry::global();
+  const obs::Histogram& route = registry.histogram("ccg.dist.route.seconds");
+  const obs::Histogram& send = registry.histogram("ccg.dist.route.send.seconds");
+  const std::uint64_t route_before = route.count();
+  const std::uint64_t send_before = send.count();
+  ASSERT_TRUE(run_routed_distributed(minutes, config, 2).has_value());
+  EXPECT_EQ(route.count() - route_before, minutes.size());
+  EXPECT_EQ(send.count() - send_before, minutes.size());
+}
+
+TEST(DistributedCollectorRouted, FailedInputDumpsOneFeedFailureRecord) {
+  // A header-only log fails the feed. The flight record must blame the
+  // input, and the shards the cut-off feed then fails must not add
+  // shard-failure records of their own.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("feed_failure_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  int input[2];
+  ASSERT_EQ(::pipe(input), 0);
+  const std::string header = csv_header() + "\n";
+  ASSERT_EQ(::write(input[1], header.data(), header.size()),
+            static_cast<ssize_t>(header.size()));
+  ::close(input[1]);
+  const GraphBuildConfig config{.facet = GraphFacet::kIp, .window_minutes = 10};
+  const auto merged = run_routed_feed(
+      [&](RecordRouter& router) {
+        const auto stats = stream_flow_log(input[0], router, router.stop_fd());
+        if (!stats || stats->rows == 0) {
+          throw std::runtime_error("the flow log contains no records");
+        }
+        return true;
+      },
+      config, 2, Transport::kSocketPair, 0, dir.string());
+  ::close(input[0]);
+  EXPECT_FALSE(merged.has_value());
+
+  std::vector<std::filesystem::path> dumps;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    dumps.push_back(entry.path());
+  }
+  ASSERT_EQ(dumps.size(), 1u) << "one flight record, for the feed only";
+  EXPECT_EQ(dumps[0].filename().string().rfind("ccg-flight-feed-failure-", 0), 0u)
+      << dumps[0];
+  std::ostringstream body;
+  body << std::ifstream(dumps[0]).rdbuf();
+  EXPECT_NE(body.str().find("\"reason\": \"feed-failure\""), std::string::npos);
+  EXPECT_NE(body.str().find("the flow log contains no records"), std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DistributedCollectorRouted, FailedMergeEndsAFeederBlockedOnAnIdlePipe) {

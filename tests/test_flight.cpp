@@ -20,7 +20,7 @@
 
 #include "ccg/analytics/service.hpp"
 #include "ccg/obs/log.hpp"
-#include "ccg/obs/span.hpp"
+#include "ccg/obs/stage.hpp"
 #include "ccg/obs/trace.hpp"
 #include "ccg/workload/driver.hpp"
 #include "ccg/workload/presets.hpp"
@@ -56,15 +56,15 @@ std::vector<fs::path> dumps_in(const std::string& dir,
   return out;
 }
 
+constexpr obs::StageRow kFlightRow{"ccg.test.flight"};
+
 TEST(FlightDump, CombinesLogSpansAndMetrics) {
   const auto dir = fresh_dir("dump");
   obs::TraceRing::global().enable(64);
   obs::LogRing::global().clear();
   const std::uint64_t trace = obs::window_trace_id(42);
   {
-    obs::TraceScope scope({trace, 0});
-    obs::ScopedSpan span(obs::span_histogram("ccg.test.flight"),
-                         "ccg.test.flight");
+    obs::Stage stage(kFlightRow, 42);  // roots window 42's trace
     obs::log_info("evidence line", {obs::field("k", "v")});
   }
   const std::string path =

@@ -61,7 +61,7 @@ TEST_F(ObsLogTest, RecordsAreStampedWithTheAmbientTrace) {
   obs::LogRing::global().clear();
   obs::log_warn("outside any trace");
   {
-    obs::TraceScope trace({0xABCD, 7});
+    obs::detail::TraceScope trace({0xABCD, 7});
     obs::log_warn("inside");
   }
   const auto records = obs::LogRing::global().records();

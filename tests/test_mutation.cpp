@@ -57,7 +57,7 @@ std::vector<ConnectionSummary> seed_minute(std::int64_t minute, std::size_t n,
 std::uint64_t allocated_by(const std::function<void()>& run) {
   prof::HeapSink sink;
   {
-    prof::HeapSinkScope scope(&sink);
+    prof::detail::HeapSinkScope scope(&sink);
     run();
   }
   return sink.usage().bytes;

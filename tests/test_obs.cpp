@@ -10,7 +10,7 @@
 #include "ccg/analytics/service.hpp"
 #include "ccg/common/rng.hpp"
 #include "ccg/obs/export.hpp"
-#include "ccg/obs/span.hpp"
+#include "ccg/obs/stage.hpp"
 #include "ccg/workload/driver.hpp"
 #include "ccg/workload/presets.hpp"
 
@@ -378,11 +378,15 @@ TEST(ObsExport, SummaryTextSkipsZeroInstruments) {
 
 // --- spans & trace ring ------------------------------------------------------
 
-TEST(ObsSpan, MacroFeedsLatencyHistogram) {
-  obs::Histogram& h = obs::span_histogram("ccg.test.spanned");
+constexpr obs::StageRow kSpannedRow{"ccg.test.spanned"};
+constexpr obs::StageRow kTracedRow{"ccg.test.traced"};
+
+TEST(ObsSpan, StageFeedsLatencyHistogram) {
+  obs::Histogram& h =
+      obs::Registry::global().histogram("ccg.test.spanned.seconds");
   const std::uint64_t before = h.count();
   for (int i = 0; i < 3; ++i) {
-    CCG_OBS_SPAN("ccg.test.spanned");
+    obs::Stage stage(kSpannedRow);
   }
   EXPECT_EQ(h.count(), before + 3);
   EXPECT_GT(h.sum(), 0.0);
@@ -392,7 +396,7 @@ TEST(ObsSpan, TraceRingKeepsMostRecentEvents) {
   obs::TraceRing& ring = obs::TraceRing::global();
   ring.enable(2);
   for (int i = 0; i < 3; ++i) {
-    CCG_OBS_SPAN("ccg.test.traced");
+    obs::Stage stage(kTracedRow);
   }
   const auto events = ring.events();
   ASSERT_EQ(events.size(), 2u);

@@ -22,7 +22,7 @@
 #include "ccg/obs/heap.hpp"
 #include "ccg/obs/metrics.hpp"
 #include "ccg/obs/prof_counters.hpp"
-#include "ccg/obs/span.hpp"
+#include "ccg/obs/stage.hpp"
 #include "ccg/obs/trace.hpp"
 #include "ccg/parallel/parallel.hpp"
 #include "ccg/workload/driver.hpp"
@@ -51,10 +51,15 @@ void busy_loop(double seconds) {
   }
 }
 
+constexpr obs::StageRow kOuterRow{"ccg.test.prof.outer"};
+constexpr obs::StageRow kInnerRow{"ccg.test.prof.inner"};
+constexpr obs::StageRow kSleepyRow{"ccg.test.prof.sleepy"};
+constexpr obs::StageRow kKernelRow{"ccg.test.test_kernel", obs::kKernel};
+
 TEST(ProfFrames, FrameScopeIsInertWhileProfilerIsOff) {
   ASSERT_FALSE(prof::frames_enabled());
-  prof::FrameScope null_frame(nullptr);
-  prof::FrameScope named_frame("ccg.test.frame");
+  prof::detail::FrameScope null_frame(nullptr);
+  prof::detail::FrameScope named_frame("ccg.test.frame");
   // Nothing observable to assert beyond "does not crash / does not leak a
   // frame": start a profiler afterwards and confirm the stack is empty.
   ASSERT_TRUE(prof::start({.hz = 101}));
@@ -80,13 +85,10 @@ TEST(ProfSampling, StartIsExclusiveAndStopIsIdempotent) {
 TEST(ProfSampling, CpuSamplesAttributeNestedSpans) {
   ASSERT_TRUE(prof::start({.hz = 757}));
   {
-    obs::TraceScope trace({obs::window_trace_id(7), 0});
-    obs::ScopedSpan outer(obs::span_histogram("ccg.test.prof.outer"),
-                          "ccg.test.prof.outer");
+    obs::Stage outer(kOuterRow, 7);  // roots window 7's trace
     busy_loop(0.15);
     {
-      obs::ScopedSpan inner(obs::span_histogram("ccg.test.prof.inner"),
-                            "ccg.test.prof.inner");
+      obs::Stage inner(kInnerRow);
       busy_loop(0.15);
     }
   }
@@ -140,8 +142,7 @@ TEST(ProfSampling, CpuSamplesAttributeNestedSpans) {
 TEST(ProfSampling, WallModeSamplesThroughSleep) {
   ASSERT_TRUE(prof::start({.hz = 197, .wall = true}));
   {
-    obs::ScopedSpan span(obs::span_histogram("ccg.test.prof.sleepy"),
-                         "ccg.test.prof.sleepy");
+    obs::Stage stage(kSleepyRow);
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
   }
   const prof::Profile profile = prof::stop();
@@ -321,7 +322,7 @@ TEST(ProfCounters, KernelScopeAccumulatesIntoRegistry) {
   const std::uint64_t calls_before = calls.value();
   const std::uint64_t cpu_before = cpu_ns.value();
   for (int i = 0; i < 2; ++i) {
-    prof::KernelCounterScope scope("test_kernel");
+    obs::Stage stage(kKernelRow);
     busy_loop(0.02);
   }
   EXPECT_EQ(calls.value(), calls_before + 2);
@@ -337,11 +338,11 @@ TEST(ProfHeap, SinksAttributeAllocationsAndChainToParents) {
   const prof::HeapUsage before = prof::process_heap_totals();
 
   prof::HeapSink window_sink;
-  prof::HeapSinkScope window_scope(&window_sink);
+  prof::detail::HeapSinkScope window_scope(&window_sink);
   {
     prof::HeapSink stage_sink;  // chains to window_sink automatically
     EXPECT_EQ(stage_sink.parent(), &window_sink);
-    prof::HeapSinkScope stage_scope(&stage_sink);
+    prof::detail::HeapSinkScope stage_scope(&stage_sink);
     auto* block = new char[32 * 1024];
     escape_pointer(block);  // defeat allocation elision
     delete[] block;
@@ -374,7 +375,7 @@ TEST(ProfHeap, PoolWorkersBillTheSubmittersSink) {
   prof::HeapSink sink;
   std::atomic<std::uint64_t> expected{0};
   {
-    prof::HeapSinkScope scope(&sink);
+    prof::detail::HeapSinkScope scope(&sink);
     parallel::parallel_for(64, 1, [&](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {
         std::vector<char> block(4096);

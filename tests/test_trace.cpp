@@ -1,5 +1,5 @@
 // Causal tracing: TraceContext propagation, the TraceRing (wraparound,
-// concurrent writers), ScopedSpan parenting, the Chrome trace-event JSON
+// concurrent writers), obs::Stage parenting, the Chrome trace-event JSON
 // exporter goldens, and the end-to-end contracts the flight recorder and
 // `ccgraph trace` rely on — every parent id exists, window spans cover
 // stage spans, and store replay reproduces the live run's span tree.
@@ -18,7 +18,7 @@
 
 #include "ccg/analytics/service.hpp"
 #include "ccg/obs/export.hpp"
-#include "ccg/obs/span.hpp"
+#include "ccg/obs/stage.hpp"
 #include "ccg/parallel/parallel.hpp"
 #include "ccg/store/store.hpp"
 #include "ccg/workload/driver.hpp"
@@ -29,12 +29,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Every test owns the global ring: enable a fresh one on entry, disable on
-/// exit so suites that expect tracing off (the default) are unaffected.
+/// Every test owns the global ring: enable a fresh one on entry, disable
+/// and empty it on exit so suites that expect tracing off (the default)
+/// are unaffected, also when they run in the same process.
 class ObsTraceRingTest : public ::testing::Test {
  protected:
   void SetUp() override { obs::TraceRing::global().enable(kCapacity); }
-  void TearDown() override { obs::TraceRing::global().disable(); }
+  void TearDown() override {
+    obs::TraceRing::global().disable();
+    obs::TraceRing::global().clear();
+  }
   static constexpr std::size_t kCapacity = 8;
 };
 
@@ -45,11 +49,11 @@ TEST(ObsTraceContext, DefaultIsInactive) {
 
 TEST(ObsTraceContext, ScopeInstallsAndRestores) {
   {
-    obs::TraceScope outer({42, 7});
+    obs::detail::TraceScope outer({42, 7});
     EXPECT_EQ(obs::current_trace().trace_id, 42u);
     EXPECT_EQ(obs::current_trace().span_id, 7u);
     {
-      obs::TraceScope inner({43, 9});
+      obs::detail::TraceScope inner({43, 9});
       EXPECT_EQ(obs::current_trace().trace_id, 43u);
     }
     EXPECT_EQ(obs::current_trace().trace_id, 42u);
@@ -111,12 +115,15 @@ TEST_F(ObsTraceRingTest, ConcurrentWritersNeverLoseMoreThanCapacity) {
             static_cast<std::size_t>(kThreads * kPerThread) - kCapacity);
 }
 
-TEST_F(ObsTraceRingTest, ScopedSpansFormATreeUnderTheAmbientTrace) {
-  obs::Histogram& h = obs::span_histogram("ccg.test.tree");
-  obs::TraceScope trace({obs::window_trace_id(0), 0});
+constexpr obs::StageRow kOuterRow{"outer"};
+constexpr obs::StageRow kInnerRow{"inner"};
+constexpr obs::StageRow kDisabledRow{"ccg.test.disabled"};
+constexpr obs::StageRow kTraceTestKernel{"ccg.test.tracetest", obs::kKernel};
+
+TEST_F(ObsTraceRingTest, StagesFormATreeUnderTheAmbientTrace) {
   {
-    obs::ScopedSpan outer(h, "outer");
-    obs::ScopedSpan inner(h, "inner");
+    obs::Stage outer(kOuterRow, 0);  // roots window 0's trace
+    obs::Stage inner(kInnerRow);
   }
   const auto events = obs::TraceRing::global().events();
   ASSERT_EQ(events.size(), 2u);
@@ -132,16 +139,17 @@ TEST_F(ObsTraceRingTest, ScopedSpansFormATreeUnderTheAmbientTrace) {
 
 TEST(ObsTraceRing, DisabledSpansRecordNothing) {
   ASSERT_FALSE(obs::TraceRing::global().enabled());
-  obs::Histogram& h = obs::span_histogram("ccg.test.disabled");
+  obs::Histogram& h =
+      obs::Registry::global().histogram("ccg.test.disabled.seconds");
   const std::uint64_t before = h.count();
-  { obs::ScopedSpan span(h, "off"); }
+  { obs::Stage stage(kDisabledRow); }
   EXPECT_EQ(h.count(), before + 1) << "histogram still records";
   EXPECT_TRUE(obs::TraceRing::global().events().empty());
 }
 
 TEST_F(ObsTraceRingTest, PoolJobsInheritTraceAndCarryTheirTag) {
-  obs::TraceScope trace({obs::window_trace_id(5), 0});
-  parallel::ScopedJobTag tag("tracetest");
+  // A kernel stage names the jobs submitted inside it after the kernel.
+  obs::Stage kernel(kTraceTestKernel, 5);
   std::vector<int> out(64, 0);
   parallel::parallel_for(out.size(), 8, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) out[i] = 1;
@@ -150,7 +158,8 @@ TEST_F(ObsTraceRingTest, PoolJobsInheritTraceAndCarryTheirTag) {
             static_cast<std::ptrdiff_t>(out.size()));
 
   // On a single hardware thread the pool runs inline and records neither
-  // the job span nor the per-tag histogram — attribution is a pool concern.
+  // the job span nor the per-kernel histogram — attribution is a pool
+  // concern.
   if (parallel::thread_count() <= 1) return;
   const auto events = obs::TraceRing::global().events();
   const auto job = std::find_if(events.begin(), events.end(), [](const auto& e) {
@@ -159,7 +168,10 @@ TEST_F(ObsTraceRingTest, PoolJobsInheritTraceAndCarryTheirTag) {
   ASSERT_NE(job, events.end());
   EXPECT_EQ(job->trace_id, obs::window_trace_id(5));
   EXPECT_NE(job->span_id, 0u);
-  EXPECT_GT(obs::span_histogram("ccg.parallel.job.tracetest").count(), 0u);
+  EXPECT_GT(obs::Registry::global()
+                .histogram("ccg.parallel.job.tracetest.seconds")
+                .count(),
+            0u);
 }
 
 // --- exporter goldens -------------------------------------------------------

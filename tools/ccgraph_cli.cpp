@@ -53,7 +53,6 @@
 #include "ccg/obs/slo.hpp"
 #include "ccg/obs/prof.hpp"
 #include "ccg/obs/prof_counters.hpp"
-#include "ccg/obs/span.hpp"
 #include "ccg/obs/trace.hpp"
 #include "ccg/simd/simd.hpp"
 #include "ccg/policy/higher_order.hpp"
@@ -214,15 +213,22 @@ int open_flow_log(const std::string& path) {
 /// minute by minute, until EOF or until `stop_fd` (if >= 0) turns
 /// readable. Prints the diagnostics every command shares — unreadable
 /// input, malformed rows skipped, a log without records — and returns
-/// nullopt when the command should exit 1.
+/// nullopt when the command should exit 1. Given `why`, a failure is
+/// stored there instead of printed.
 std::optional<IngestStats> ingest_flow_log(int fd, const std::string& path,
                                            TelemetrySink& sink,
-                                           int stop_fd = -1) {
-  const auto stats = stream_flow_log(fd, sink, stop_fd);
-  if (!stats) {
-    std::fprintf(stderr, "ccgraph: cannot read %s\n", path.c_str());
+                                           int stop_fd = -1,
+                                           std::string* why = nullptr) {
+  const auto fail = [&](const std::string& message) {
+    if (why != nullptr) {
+      *why = message;
+    } else {
+      std::fprintf(stderr, "ccgraph: %s\n", message.c_str());
+    }
     return std::nullopt;
-  }
+  };
+  const auto stats = stream_flow_log(fd, sink, stop_fd);
+  if (!stats) return fail("cannot read " + path);
   if (stats->malformed_rows > 0) {
     std::fprintf(stderr, "ccgraph: warning: %llu malformed rows skipped\n",
                  static_cast<unsigned long long>(stats->malformed_rows));
@@ -231,10 +237,7 @@ std::optional<IngestStats> ingest_flow_log(int fd, const std::string& path,
                    obs::field("malformed_rows", stats->malformed_rows),
                    obs::field("first_line", stats->first_malformed_line)});
   }
-  if (stats->rows == 0) {
-    std::fprintf(stderr, "ccgraph: %s contains no records\n", path.c_str());
-    return std::nullopt;
-  }
+  if (stats->rows == 0) return fail(path + " contains no records");
   return stats;
 }
 
@@ -710,8 +713,12 @@ int run_aggregation(const Args& args, int input, const std::string& in_path,
   const auto result = dist::run_routed(
       aggregator, config.facet,
       [&](dist::RecordRouter& router) {
-        return ingest_flow_log(input, in_path, router, router.stop_fd())
-            .has_value();
+        // A failed input throws, so the feed-failure record names it.
+        std::string why;
+        if (!ingest_flow_log(input, in_path, router, router.stop_fd(), &why)) {
+          throw std::runtime_error(why);
+        }
+        return true;
       },
       [&](const CommGraph& graph) { service.ingest_window(graph); },
       &feed_error);

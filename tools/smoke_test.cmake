@@ -107,6 +107,25 @@ execute_process(COMMAND ${CLI} anomaly --in header_only.csv
 if(NOT rc EQUAL 1 OR NOT err MATCHES "header_only.csv contains no records" OR NOT out STREQUAL "")
   message(FATAL_ERROR "header-only log -> rc=${rc}\n${out}\n${err}")
 endif()
+# serve on the same log fails on its input: one flight record, labelled
+# with the input's error, and none blaming the shards it cut off.
+file(REMOVE_RECURSE ${WORKDIR}/feeddir)
+file(MAKE_DIRECTORY ${WORKDIR}/feeddir)
+execute_process(COMMAND ${CLI} serve --in header_only.csv --shards 2 --flight-dir feeddir
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+file(GLOB feed_dumps ${WORKDIR}/feeddir/*.json)
+list(LENGTH feed_dumps feed_dump_count)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "header_only.csv contains no records"
+   OR NOT feed_dump_count EQUAL 1)
+  message(FATAL_ERROR "serve on a header-only log -> rc=${rc}, ${feed_dump_count} flight records\n${err}")
+endif()
+list(GET feed_dumps 0 feed_dump)
+file(READ ${feed_dump} feed_json)
+if(NOT feed_dump MATCHES "ccg-flight-feed-failure-[^/]*\\.json$"
+   OR NOT feed_json MATCHES "header_only.csv contains no records")
+  message(FATAL_ERROR "feed flight record does not name the input: ${feed_dump}")
+endif()
 file(READ ${WORKDIR}/clean.csv clean_text)
 file(WRITE ${WORKDIR}/with_garbage.csv "${clean_text}not,a,row\n1,2\n")
 execute_process(COMMAND ${CLI} graph --in with_garbage.csv
